@@ -4,17 +4,14 @@
 //! 128-processor Cray T3D for their message-passing formulation). This
 //! binary measures the shared-memory analogue at kernel granularity:
 //! wall-clock speedup of **matching**, **contraction**, the full
-//! **coarsen** loop, and the **metrics** reductions over 1/2/4/8 worker
+//! **coarsen** loop, the **metrics** reductions and the whole refined
+//! **pipeline** (`kway_partition_refined`, k=8) over 1/2/4/8 worker
 //! threads on a ≥200k-vertex generator mesh — the hot paths the
 //! deterministic parallel kernels in `mlgp-part` cover — plus a
-//! **per-phase table** for the full refined pipeline
-//! (`kway_partition_refined`), splitting coarsen vs init/refine/project
-//! (the paper's CTime vs ITime/RTime/PTime) so coarsening and
-//! uncoarsening scaling are visible separately, and a **spectral/linalg
-//! section** (chunked-pairwise `dot`, row-sharded Laplacian SpMV, and a
-//! capped Lanczos solve) whose fingerprints hash the raw f64 bit
-//! patterns — the float kernels must match to the last ulp at every
-//! thread count.
+//! **spectral/linalg section** (chunked-pairwise `dot`, row-sharded
+//! Laplacian SpMV, and a capped Lanczos solve) whose fingerprints hash the
+//! raw f64 bit patterns — the float kernels must match to the last ulp at
+//! every thread count.
 //!
 //! Because the kernels are deterministic by construction (same seed + any
 //! thread count → bit-identical output), the run doubles as an end-to-end
@@ -31,7 +28,7 @@ use mlgp_graph::rng::seeded;
 use mlgp_linalg::{lanczos_fiedler, vecops, LanczosOptions, Laplacian, SymOp};
 use mlgp_part::{
     coarsen, compute_matching_threads, contract_threads, edge_cut_kway, kway_partition_refined,
-    metrics, part_weights, MatchingScheme, MlConfig, PhaseTimes,
+    metrics, part_weights, MatchingScheme, MlConfig,
 };
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -72,7 +69,7 @@ fn main() {
         THREADS.map(|t| format!("{t:>8} thr")).join(" ")
     );
     let mut deterministic = true;
-    for kernel in ["match", "contract", "coarsen", "metrics"] {
+    for kernel in ["match", "contract", "coarsen", "metrics", "pipeline"] {
         let mut row = Vec::new();
         let mut t1 = 0.0f64;
         let mut reference: Option<u64> = None;
@@ -119,11 +116,18 @@ fn main() {
                             .chain([h.levels() as u64]),
                     )
                 }),
-                _ => timed(|| {
+                "metrics" => timed(|| {
                     let cut = edge_cut_kway(&g, &part) as u64;
                     let w = part_weights(&g, &part, 8);
                     let b = metrics::boundary_count(&g, &part) as u64;
                     fingerprint(w.iter().map(|&x| x as u64).chain([cut, b]))
+                }),
+                // Only the end-to-end time: per-phase spans add up across
+                // concurrent recursion branches, so they do not show scaling.
+                _ => timed(|| {
+                    let cfg = MlConfig { threads: nt, ..cfg };
+                    let r = kway_partition_refined(&g, 8, &cfg);
+                    fingerprint(r.part.iter().map(|&x| x as u64).chain([r.edge_cut as u64]))
                 }),
             });
             if nt == 1 {
@@ -150,61 +154,6 @@ fn main() {
             });
         }
         println!("{kernel:<10} | {}", row.join(" "));
-    }
-    // Phase-level scaling of the full refined pipeline (coarsen vs the
-    // uncoarsening phases, the paper's CTime vs ITime/RTime/PTime): one
-    // `kway_partition_refined` run per thread count with `cfg.threads`
-    // driving every kernel, fingerprinting the final labeling + cut.
-    println!("\nfull pipeline (kway_partition_refined, k=8), per-phase:");
-    let mut runs: Vec<(usize, PhaseTimes, f64)> = Vec::new();
-    let mut reference: Option<u64> = None;
-    for &nt in &THREADS {
-        let p = pool(nt);
-        let cfg = MlConfig { threads: nt, ..cfg };
-        let (r, total) = p.install(|| timed(|| kway_partition_refined(&g, 8, &cfg)));
-        let fp = fingerprint(r.part.iter().map(|&x| x as u64).chain([r.edge_cut as u64]));
-        match reference {
-            None => reference = Some(fp),
-            Some(rf) if rf != fp => {
-                deterministic = false;
-                eprintln!("DETERMINISM VIOLATION: refined pipeline differs at {nt} threads");
-            }
-            _ => {}
-        }
-        runs.push((nt, r.times, total));
-    }
-    println!(
-        "{:<10} | {}",
-        "phase",
-        THREADS.map(|t| format!("{t:>8} thr")).join(" ")
-    );
-    type PhaseGetter = fn(&PhaseTimes, f64) -> f64;
-    let phases: [(&str, PhaseGetter); 5] = [
-        ("coarsen", |t, _| t.coarsen.as_secs_f64()),
-        ("init", |t, _| t.init.as_secs_f64()),
-        ("refine", |t, _| t.refine.as_secs_f64()),
-        ("project", |t, _| t.project.as_secs_f64()),
-        ("total", |_, total| total),
-    ];
-    for (phase, get) in phases {
-        let t1 = get(&runs[0].1, runs[0].2);
-        let mut row = Vec::new();
-        for (nt, times, total) in &runs {
-            let secs = get(times, *total);
-            let speedup = if secs > 0.0 { t1 / secs } else { 1.0 };
-            row.push(format!("{:>6.3}s{:>5}", secs, format!("{speedup:.1}x")));
-            sink.row(|o| {
-                o.field_str("bench", "parallel");
-                o.field_str("kernel", "pipeline");
-                o.field_str("phase", phase);
-                o.field_u64("threads", *nt as u64);
-                o.field_f64("secs", secs);
-                o.field_f64("speedup", speedup);
-                o.field_u64("n", g.n() as u64);
-                o.field_u64("nnz", g.nnz() as u64);
-            });
-        }
-        println!("{phase:<10} | {}", row.join(" "));
     }
     // Spectral/linalg strong scaling: the deterministic chunked-pairwise
     // vector reductions, the row-sharded Laplacian SpMV, and a

@@ -6,9 +6,10 @@
 //! cargo run --release -p mlgp-bench --bin table2 [--scale F] [--keys A,B]
 //! ```
 
-use mlgp_bench::{finish_or_exit, group_thousands, timed, BenchOpts};
+use mlgp_bench::{finish_or_exit, group_thousands, span_secs, timed, BenchOpts};
 use mlgp_graph::generators::table_rows;
-use mlgp_part::{kway_partition, MatchingScheme, MlConfig};
+use mlgp_part::{kway_partition_traced, MatchingScheme, MlConfig};
+use mlgp_trace::{Trace, SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE, SPAN_UNCOARSEN};
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -32,12 +33,14 @@ fn main() {
                 matching: m,
                 ..MlConfig::default()
             };
-            let (r, secs) = timed(|| kway_partition(&g, 32, &cfg));
+            let trace = Trace::enabled();
+            let (r, secs) = timed(|| kway_partition_traced(&g, 32, &cfg, &trace));
+            let span = |path| span_secs(&trace, path);
             print!(
                 "{:>12} {:>7.2} {:>7.2}",
                 group_thousands(r.edge_cut),
-                r.times.coarsen.as_secs_f64(),
-                r.times.uncoarsen().as_secs_f64()
+                span(SPAN_COARSEN),
+                span(SPAN_UNCOARSEN)
             );
             sink.row(|o| {
                 o.field_str("bench", "table2");
@@ -46,10 +49,10 @@ fn main() {
                 o.field_usize("k", 32);
                 o.field_i64("edge_cut", r.edge_cut);
                 o.field_f64("secs", secs);
-                o.field_f64("ctime_secs", r.times.coarsen.as_secs_f64());
-                o.field_f64("itime_secs", r.times.init.as_secs_f64());
-                o.field_f64("rtime_secs", r.times.refine.as_secs_f64());
-                o.field_f64("ptime_secs", r.times.project.as_secs_f64());
+                o.field_f64("ctime_secs", span(SPAN_COARSEN));
+                o.field_f64("itime_secs", span(SPAN_INIT));
+                o.field_f64("rtime_secs", span(SPAN_REFINE));
+                o.field_f64("ptime_secs", span(SPAN_PROJECT));
             });
         }
         println!();

@@ -1,8 +1,7 @@
 //! # mlgp-bench
 //!
 //! Reproduction harness for the paper's evaluation (§4): one binary per
-//! table/figure (see DESIGN.md §5) plus shared helpers, and Criterion
-//! micro-benchmarks for the kernels.
+//! table/figure (see DESIGN.md §5) plus shared helpers.
 //!
 //! Every binary accepts `--scale F` (default 1.0) which shrinks each
 //! workload to `F ×` its paper size — the figures involving the spectral
@@ -14,6 +13,7 @@
 use mlgp_graph::generators::{entry, SuiteEntry};
 use mlgp_graph::CsrGraph;
 use mlgp_trace::json::JsonObj;
+use mlgp_trace::Trace;
 use std::time::Instant;
 
 /// Command-line options shared by all experiment binaries.
@@ -212,6 +212,12 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (r, t.elapsed().as_secs_f64())
 }
 
+/// Seconds accumulated under a trace span path and its children, summed
+/// over every bisection of the recursion (0 when nothing was recorded).
+pub fn span_secs(trace: &Trace, path: &str) -> f64 {
+    trace.span_total(path).map_or(0.0, |d| d.as_secs_f64())
+}
+
 /// Format a count with thousands grouping for table readability.
 pub fn group_thousands(x: i64) -> String {
     let s = x.abs().to_string();
@@ -252,7 +258,8 @@ pub fn run_quality_figure(
     baseline_name: &str,
     baseline: &dyn Fn(&CsrGraph, usize, u64) -> Vec<u32>,
 ) {
-    use mlgp_part::{edge_cut_kway, kway_partition, MlConfig};
+    use mlgp_part::{edge_cut_kway, kway_partition_traced, MlConfig};
+    use mlgp_trace::{SPAN_COARSEN, SPAN_UNCOARSEN};
     opts.banner(&format!(
         "edge-cut of our multilevel algorithm relative to {baseline_name} (bars under the | baseline mean we win)"
     ));
@@ -268,7 +275,9 @@ pub fn run_quality_figure(
     for key in rows {
         let (_, g) = opts.graph(key);
         for &k in &parts {
-            let (r, ours_secs) = timed(|| kway_partition(&g, k, &MlConfig::default()));
+            let trace = Trace::enabled();
+            let (r, ours_secs) =
+                timed(|| kway_partition_traced(&g, k, &MlConfig::default(), &trace));
             let ours = r.edge_cut;
             let (base_part, base_secs) = timed(|| baseline(&g, k, 0xf15));
             let base = edge_cut_kway(&g, &base_part);
@@ -300,8 +309,8 @@ pub fn run_quality_figure(
                 o.field_f64("ratio", ratio);
                 o.field_f64("secs", ours_secs);
                 o.field_f64("baseline_secs", base_secs);
-                o.field_f64("ctime_secs", r.times.coarsen.as_secs_f64());
-                o.field_f64("utime_secs", r.times.uncoarsen().as_secs_f64());
+                o.field_f64("ctime_secs", span_secs(&trace, SPAN_COARSEN));
+                o.field_f64("utime_secs", span_secs(&trace, SPAN_UNCOARSEN));
             });
         }
     }

@@ -106,15 +106,22 @@ pub fn read_chaco<R: Read>(r: R) -> Result<CsrGraph, IoError> {
         }
         let mut tok = t.split_whitespace();
         if has_vwgt {
-            match tok.next() {
-                Some(w) => vwgt.push(w.parse().map_err(|_| {
+            let w = match tok.next() {
+                Some(w) => w.parse().map_err(|_| {
                     IoError::Parse(format!(
                         "line {ln}: bad vertex weight `{w}` for vertex {}",
                         v + 1
                     ))
-                })?),
-                None => vwgt.push(1),
+                })?,
+                None => 1,
+            };
+            if w <= 0 {
+                return parse_err(format!(
+                    "line {ln}: vertex weight {w} of vertex {} must be positive",
+                    v + 1
+                ));
             }
+            vwgt.push(w);
         }
         while let Some(u) = tok.next() {
             let u: usize = u
@@ -137,6 +144,11 @@ pub fn read_chaco<R: Read>(r: R) -> Result<CsrGraph, IoError> {
             } else {
                 1
             };
+            if w <= 0 {
+                return parse_err(format!(
+                    "line {ln}: edge weight {w} after neighbor {u} must be positive"
+                ));
+            }
             let u = (u - 1) as Vid;
             // Each undirected edge must appear on both endpoint lines with
             // the same weight. The lower endpoint's copy is held pending
@@ -494,6 +506,43 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("(1, 3)"), "{msg}");
         assert!(msg.contains("vertex 1's line"), "{msg}");
+    }
+
+    #[test]
+    fn chaco_rejects_non_positive_weights() {
+        // Vertex weight 0, vertex weight -1, edge weight 0: each is a typed
+        // parse error naming its line, never a panic in the builder.
+        for (text, line) in [
+            (
+                "2 1 10
+0 2
+1 1
+",
+                "line 2:",
+            ),
+            (
+                "2 1 10
+1 2
+-1 1
+",
+                "line 3:",
+            ),
+            (
+                "2 1 1
+2 0
+1 0
+",
+                "line 2:",
+            ),
+        ] {
+            let err = read_chaco(text.as_bytes()).unwrap_err();
+            let msg = err.to_string();
+            assert!(matches!(err, IoError::Parse(_)), "{msg}");
+            assert!(
+                msg.contains(line) && msg.contains("must be positive"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

@@ -51,50 +51,6 @@ pub fn lanczos_fiedler_traced<O: SymOp>(
     r
 }
 
-/// [`minres`] recording an `eigen` event (solver `"minres"`, Krylov steps,
-/// final residual) and an `eigen_matvec` counter (one SpMV per step) on
-/// `trace`.
-pub fn minres_traced<O: SymOp>(
-    op: &O,
-    b: &[f64],
-    opts: &MinresOptions,
-    trace: &Trace,
-) -> MinresResult {
-    let r = minres(op, b, opts);
-    trace.record(|| Event::Eigen {
-        solver: "minres",
-        n: op.dim(),
-        iters: r.iters,
-        residual: r.residual,
-    });
-    trace.count("eigen_matvec", r.iters as u64);
-    r
-}
-
-/// [`rqi_refine`] recording an `eigen` event (solver `"rqi"`, outer
-/// iterations, final eigen-residual) on `trace`, plus the operator-level
-/// `spmv_calls`/`spmv_rows` deltas (RQI's matvecs hide inside the inner
-/// MINRES solves, so the Laplacian's own tally is the honest count).
-pub fn rqi_refine_traced(
-    lap: &Laplacian<'_>,
-    x0: &[f64],
-    opts: &RqiOptions,
-    trace: &Trace,
-) -> RqiResult {
-    let (calls0, rows0) = (lap.spmv_calls(), lap.spmv_rows());
-    let r = rqi_refine(lap, x0, opts);
-    trace.record(|| Event::Eigen {
-        solver: "rqi",
-        n: lap.dim(),
-        iters: r.outer_iters,
-        residual: r.residual,
-    });
-    trace.count("eigen_matvec", lap.spmv_calls() - calls0);
-    trace.count("spmv_calls", lap.spmv_calls() - calls0);
-    trace.count("spmv_rows", lap.spmv_rows() - rows0);
-    r
-}
-
 /// Size threshold below which the dense Jacobi path is used for Fiedler
 /// vectors; above it, Lanczos.
 pub const DENSE_FIEDLER_LIMIT: usize = 320;

@@ -113,13 +113,12 @@ pub fn analyze_ordering(g: &CsrGraph, p: &Permutation) -> SymbolicStats {
     let parent = elimination_tree(g, p);
     let counts = column_counts(g, p, &parent);
     let nnz_l = g.n() as u64 + counts.iter().sum::<u64>();
-    let opcount = counts
-        .iter()
-        .map(|&c| {
-            let c = c as f64;
-            c * (c + 3.0) / 2.0
-        })
-        .sum();
+    // Fold from +0.0: `f64::sum` starts at -0.0, which an empty graph
+    // would report (and print) as a negative zero.
+    let opcount = counts.iter().fold(0.0, |acc, &c| {
+        let c = c as f64;
+        acc + c * (c + 3.0) / 2.0
+    });
     SymbolicStats {
         nnz_l,
         opcount,
@@ -151,6 +150,15 @@ mod tests {
         assert_eq!(s.nnz_l, 6 + 5);
         assert_eq!(s.height, 6); // etree is a chain
         assert!((s.opcount - 5.0 * 2.0).abs() < 1e-12); // each ℓ_j = 1 => 2 ops
+    }
+
+    #[test]
+    fn empty_graph_has_positive_zero_opcount() {
+        let g = GraphBuilder::new(0).build();
+        let s = analyze_ordering(&g, &Permutation::identity(0));
+        assert_eq!(s.opcount.to_bits(), 0.0f64.to_bits());
+        assert_eq!(format!("{:.3e}", s.opcount), "0.000e0");
+        assert_eq!((s.nnz_l, s.height), (0, 0));
     }
 
     #[test]

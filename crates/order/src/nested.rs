@@ -11,7 +11,7 @@
 use crate::mmd::mmd_order;
 use crate::vcover::{vertex_separator, SEPARATOR, SIDE_A, SIDE_B};
 use mlgp_graph::{induced_subgraph, CsrGraph, Permutation, Vid};
-use mlgp_part::{bisect_targets_traced, MlConfig};
+use mlgp_part::{bisect_targets, MlConfig};
 use mlgp_spectral::{msb_bisect_targets, MsbConfig};
 use mlgp_trace::{Event, Trace};
 
@@ -154,7 +154,7 @@ fn order_rec(
     let t = trace.start();
     let part = match &cfg.bisector {
         NdBisector::Multilevel(ml) => {
-            bisect_targets_traced(sub, &ml.reseed(salt), targets, trace).part
+            bisect_targets(sub, &ml.reseed(salt), targets, trace, salt).part
         }
         NdBisector::Spectral(sc) => {
             let mut c = *sc;
@@ -305,6 +305,32 @@ mod tests {
         let a = mlnd_order(&g);
         let b = mlnd_order(&g);
         assert_eq!(a.perm(), b.perm());
+    }
+
+    #[test]
+    fn trace_tags_each_bisection_with_its_recursion_branch() {
+        let g = grid2d(40, 40);
+        let trace = Trace::enabled();
+        let traced = nested_dissection_traced(&g, &NdConfig::mlnd(), &trace);
+        assert_eq!(traced.perm(), mlnd_order(&g).perm());
+        let events = trace.events();
+        let mut branches: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::CoarsenLevel {
+                    branch, level: 0, ..
+                } => Some(*branch),
+                _ => None,
+            })
+            .collect();
+        branches.sort_unstable();
+        branches.dedup();
+        let separators = events
+            .iter()
+            .filter(|e| matches!(e, Event::Separator { .. }))
+            .count();
+        assert!(separators > 1);
+        assert_eq!(branches.len(), separators);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The multilevel bisection driver (§3): coarsen, partition the coarsest
-//! graph, uncoarsen with refinement. Phase timings are recorded in the
+//! graph, uncoarsen with refinement. Phase timings go to the trace in the
 //! paper's vocabulary (CTime; UTime = ITime + RTime + PTime).
 
 use crate::coarsen::{coarsen_traced, Hierarchy};
@@ -9,44 +9,7 @@ use crate::refine::fm::BalanceTargets;
 use crate::refine::{refine_level_stats, BisectState};
 use mlgp_graph::rng::seeded;
 use mlgp_graph::{CsrGraph, Wgt};
-use mlgp_trace::{Event, Stopwatch, Trace, SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
-use std::time::Duration;
-
-/// Wall-clock time spent in each phase of a multilevel run (accumulated
-/// across all bisections for recursive k-way).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimes {
-    /// Coarsening (matching + contraction) — the paper's CTime.
-    pub coarsen: Duration,
-    /// Partitioning the coarsest graph — ITime.
-    pub init: Duration,
-    /// Refinement during uncoarsening — RTime.
-    pub refine: Duration,
-    /// Projecting partitions and rebuilding per-level state — PTime.
-    pub project: Duration,
-}
-
-impl PhaseTimes {
-    /// UTime = ITime + RTime + PTime (paper §4.1).
-    pub fn uncoarsen(&self) -> Duration {
-        self.init + self.refine + self.project
-    }
-
-    /// Total across all phases.
-    pub fn total(&self) -> Duration {
-        self.coarsen + self.uncoarsen()
-    }
-
-    /// Component-wise sum.
-    pub fn merge(&self, other: &PhaseTimes) -> PhaseTimes {
-        PhaseTimes {
-            coarsen: self.coarsen + other.coarsen,
-            init: self.init + other.init,
-            refine: self.refine + other.refine,
-            project: self.project + other.project,
-        }
-    }
-}
+use mlgp_trace::{Event, Trace, SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
 
 /// Output of a multilevel bisection.
 #[derive(Clone, Debug)]
@@ -59,38 +22,13 @@ pub struct BisectionResult {
     pub pwgts: [Wgt; 2],
     /// Number of levels in the hierarchy (1 = no coarsening happened).
     pub levels: usize,
-    /// Phase timings.
-    pub times: PhaseTimes,
 }
 
 /// Bisect into two halves of (near-)equal vertex weight.
 pub fn bisect(g: &CsrGraph, cfg: &MlConfig) -> BisectionResult {
-    bisect_traced(g, cfg, &Trace::disabled())
-}
-
-/// [`bisect`] with telemetry: phase spans (same measured durations as the
-/// returned [`PhaseTimes`]), one `coarsen_level` event per hierarchy level
-/// and one `refine_level` event per uncoarsening level.
-pub fn bisect_traced(g: &CsrGraph, cfg: &MlConfig, trace: &Trace) -> BisectionResult {
     let total = g.total_vwgt();
     let half = total / 2;
-    bisect_targets_traced(g, cfg, [half, total - half], trace)
-}
-
-/// Bisect with explicit per-side weight targets (used by recursive k-way
-/// for non-power-of-two part counts).
-pub fn bisect_targets(g: &CsrGraph, cfg: &MlConfig, target: [Wgt; 2]) -> BisectionResult {
-    bisect_targets_traced(g, cfg, target, &Trace::disabled())
-}
-
-/// [`bisect_targets`] with telemetry.
-pub fn bisect_targets_traced(
-    g: &CsrGraph,
-    cfg: &MlConfig,
-    target: [Wgt; 2],
-    trace: &Trace,
-) -> BisectionResult {
-    bisect_targets_branch(g, cfg, target, trace, 1)
+    bisect_targets(g, cfg, [half, total - half], &Trace::disabled(), 1)
 }
 
 /// Record one `coarsen_level` event per level of `h` under recursion
@@ -160,10 +98,16 @@ fn refine_level_recorded(
     }
 }
 
-/// The traced bisection worker. `branch` identifies the recursion path when
-/// called from k-way (1 for a stand-alone bisection); it salts the emitted
-/// events so per-level records from different subproblems stay separable.
-pub(crate) fn bisect_targets_branch(
+/// Bisect with explicit per-side weight targets (used by recursive k-way
+/// for non-power-of-two part counts and by nested dissection).
+///
+/// `trace` receives the four phase spans (CTime = `coarsen`; UTime =
+/// `uncoarsen/{init,refine,project}`), one `coarsen_level` event per
+/// hierarchy level and one `refine_level` event per uncoarsening level.
+/// `branch` identifies the recursion path (1 for a stand-alone bisection);
+/// it salts the emitted events so per-level records from different
+/// subproblems stay separable.
+pub fn bisect_targets(
     g: &CsrGraph,
     cfg: &MlConfig,
     target: [Wgt; 2],
@@ -182,24 +126,19 @@ pub(crate) fn bisect_targets_branch(
             cut: 0,
             pwgts: [0, 0],
             levels: 0,
-            times: PhaseTimes::default(),
         };
     }
     let mut rng = seeded(cfg.seed);
     let bt = BalanceTargets::new(target, cfg.imbalance);
-    let mut times = PhaseTimes::default();
 
-    // Coarsening phase. The span durations fed to the trace are the very
-    // same measurements stored in `PhaseTimes`, so the `--stats` tree and
-    // the returned CTime/UTime split agree exactly.
-    let t = Stopwatch::start();
+    // Coarsening phase.
+    let t = trace.start();
     let h = coarsen_traced(g, cfg, &mut rng, trace);
-    times.coarsen = t.elapsed();
-    trace.add_time(SPAN_COARSEN, times.coarsen);
+    trace.stop(t, SPAN_COARSEN);
     record_coarsen_levels(&h, cfg, trace, branch);
 
     // Initial partitioning of the coarsest graph.
-    let t = Stopwatch::start();
+    let t = trace.start();
     let coarse_part = initial_partition_traced(
         h.coarsest(),
         &bt,
@@ -209,30 +148,23 @@ pub(crate) fn bisect_targets_branch(
         cfg.threads,
         trace,
     );
-    times.init = t.elapsed();
-    trace.add_time(SPAN_INIT, times.init);
+    trace.stop(t, SPAN_INIT);
 
     // Refine the coarsest-level partition, then uncoarsen level by level.
-    let t = Stopwatch::start();
+    let t = trace.start();
     let mut state = BisectState::with_threads(h.coarsest(), coarse_part, cfg.threads);
     refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, h.levels() - 1);
-    let d = t.elapsed();
-    times.refine += d;
-    trace.add_time(SPAN_REFINE, d);
+    trace.stop(t, SPAN_REFINE);
     let mut part = std::mem::take(&mut state.part);
     drop(state);
     for level in (0..h.levels() - 1).rev() {
-        let t = Stopwatch::start();
+        let t = trace.start();
         let fine_part = h.project(level, &part);
         let mut state = BisectState::with_threads(&h.graphs[level], fine_part, cfg.threads);
-        let d = t.elapsed();
-        times.project += d;
-        trace.add_time(SPAN_PROJECT, d);
-        let t = Stopwatch::start();
+        trace.stop(t, SPAN_PROJECT);
+        let t = trace.start();
         refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, level);
-        let d = t.elapsed();
-        times.refine += d;
-        trace.add_time(SPAN_REFINE, d);
+        trace.stop(t, SPAN_REFINE);
         part = std::mem::take(&mut state.part);
     }
     let final_state = BisectState::with_threads(g, part, cfg.threads);
@@ -241,7 +173,6 @@ pub(crate) fn bisect_targets_branch(
         pwgts: final_state.pwgts,
         part: final_state.part,
         levels: h.levels(),
-        times,
     }
 }
 
@@ -251,6 +182,8 @@ mod tests {
     use crate::config::{InitialPartitioning, MatchingScheme, RefinementPolicy};
     use crate::metrics::edge_cut_bisection;
     use mlgp_graph::generators::{grid2d, lshape, powerlaw, tri_mesh2d};
+    use mlgp_trace::SPAN_UNCOARSEN;
+    use std::time::Duration;
 
     #[test]
     fn grid_bisection_near_optimal() {
@@ -297,7 +230,7 @@ mod tests {
         let total = g.total_vwgt();
         let t0 = total / 4;
         let cfg = MlConfig::default();
-        let r = bisect_targets(&g, &cfg, [t0, total - t0]);
+        let r = bisect_targets(&g, &cfg, [t0, total - t0], &Trace::disabled(), 1);
         let bt = BalanceTargets::new([t0, total - t0], cfg.imbalance);
         assert!(bt.balanced(r.pwgts), "{:?} target {t0}", r.pwgts);
     }
@@ -349,35 +282,38 @@ mod tests {
     }
 
     #[test]
-    fn times_are_recorded() {
+    fn phase_spans_split_ctime_and_utime() {
         let g = grid2d(40, 40);
-        let r = bisect(&g, &MlConfig::default());
-        assert!(r.times.coarsen > Duration::ZERO);
-        assert!(r.times.uncoarsen() > Duration::ZERO);
-        assert_eq!(
-            r.times.total(),
-            r.times.coarsen + r.times.init + r.times.refine + r.times.project
-        );
-    }
-
-    #[test]
-    fn trace_spans_match_phase_times_exactly() {
-        // The spans are fed the very same `Duration`s stored in
-        // `PhaseTimes`, so the CTime/UTime split must agree to the nanosecond.
-        let g = grid2d(40, 40);
+        let total = g.total_vwgt();
         let trace = Trace::enabled();
-        let r = bisect_traced(&g, &MlConfig::default(), &trace);
-        assert_eq!(trace.span_total(SPAN_COARSEN), Some(r.times.coarsen));
-        assert_eq!(trace.span_total(SPAN_INIT), Some(r.times.init));
-        assert_eq!(trace.span_total(SPAN_REFINE), Some(r.times.refine));
-        assert_eq!(trace.span_total(SPAN_PROJECT), Some(r.times.project));
+        bisect_targets(
+            &g,
+            &MlConfig::default(),
+            [total / 2, total - total / 2],
+            &trace,
+            1,
+        );
+        let span = |path| trace.span_total(path).expect(path);
+        assert!(span(SPAN_COARSEN) > Duration::ZERO);
+        assert_eq!(
+            span(SPAN_UNCOARSEN),
+            span(SPAN_INIT) + span(SPAN_REFINE) + span(SPAN_PROJECT)
+        );
+        assert!(span(SPAN_UNCOARSEN) > Duration::ZERO);
     }
 
     #[test]
     fn trace_records_one_event_per_hierarchy_level() {
         let g = grid2d(40, 40);
+        let total = g.total_vwgt();
         let trace = Trace::enabled();
-        let r = bisect_traced(&g, &MlConfig::default(), &trace);
+        let r = bisect_targets(
+            &g,
+            &MlConfig::default(),
+            [total / 2, total - total / 2],
+            &trace,
+            1,
+        );
         let events = trace.events();
         let coarsen: Vec<_> = events
             .iter()

@@ -6,7 +6,7 @@
 //! composed. Non-power-of-two `k` is handled by splitting weight targets
 //! proportionally (`⌈k/2⌉ : ⌊k/2⌋`).
 
-use crate::bisect::{bisect_targets_branch, BisectionResult, PhaseTimes};
+use crate::bisect::bisect_targets;
 use crate::config::MlConfig;
 use crate::metrics::edge_cut_kway;
 use mlgp_graph::{split_by_part, CsrGraph, Wgt};
@@ -21,8 +21,6 @@ pub struct KwayResult {
     pub edge_cut: Wgt,
     /// Number of parts requested.
     pub nparts: usize,
-    /// Phase times accumulated over every bisection in the recursion tree.
-    pub times: PhaseTimes,
 }
 
 /// Subproblems smaller than this are recursed sequentially; larger ones
@@ -40,88 +38,37 @@ pub fn kway_partition(g: &CsrGraph, k: usize, cfg: &MlConfig) -> KwayResult {
 /// separable. The trace handle crosses the rayon forks.
 pub fn kway_partition_traced(g: &CsrGraph, k: usize, cfg: &MlConfig, trace: &Trace) -> KwayResult {
     assert!(k >= 1, "k must be at least 1");
-    let mut part = vec![0u32; g.n()];
-    let times = rec(g, k, cfg, 1, &mut part, trace);
+    let part = recursive_kway_with(g, k, &|sub: &CsrGraph, targets, salt| {
+        bisect_targets(sub, &cfg.reseed(salt), targets, trace, salt).part
+    });
     let edge_cut = edge_cut_kway(g, &part);
     KwayResult {
         part,
         edge_cut,
         nparts: k,
-        times,
     }
 }
 
-/// Recursive worker: writes labels `0..k` into `part` (parallel to `g`'s
-/// vertices). `salt` identifies the recursion path for deterministic
-/// re-seeding.
-fn rec(
-    g: &CsrGraph,
-    k: usize,
-    cfg: &MlConfig,
-    salt: u64,
-    part: &mut [u32],
-    trace: &Trace,
-) -> PhaseTimes {
-    if k <= 1 || g.n() == 0 {
-        for p in part.iter_mut() {
-            *p = 0;
-        }
-        return PhaseTimes::default();
-    }
-    let k0 = k.div_ceil(2);
-    let k1 = k - k0;
-    let total = g.total_vwgt();
-    // Proportional target: side 0 receives k0/k of the weight.
-    let t0 = ((total as i128 * k0 as i128) / k as i128) as Wgt;
-    let r: BisectionResult =
-        bisect_targets_branch(g, &cfg.reseed(salt), [t0, total - t0], trace, salt);
-    if k == 2 {
-        for (p, &side) in part.iter_mut().zip(&r.part) {
-            *p = side as u32;
-        }
-        return r.times;
-    }
-    let bpart: Vec<u32> = r.part.iter().map(|&s| s as u32).collect();
-    let subs = split_by_part(g, &bpart, 2);
-    let (s0, s1) = (&subs[0], &subs[1]);
-    let mut part0 = vec![0u32; s0.graph.n()];
-    let mut part1 = vec![0u32; s1.graph.n()];
-    let (times0, times1) = if g.n() >= PARALLEL_THRESHOLD {
-        rayon::join(
-            || rec(&s0.graph, k0, cfg, salt * 2, &mut part0, trace),
-            || rec(&s1.graph, k1, cfg, salt * 2 + 1, &mut part1, trace),
-        )
-    } else {
-        (
-            rec(&s0.graph, k0, cfg, salt * 2, &mut part0, trace),
-            rec(&s1.graph, k1, cfg, salt * 2 + 1, &mut part1, trace),
-        )
-    };
-    for (i, &orig) in s0.orig.iter().enumerate() {
-        part[orig as usize] = part0[i];
-    }
-    for (i, &orig) in s1.orig.iter().enumerate() {
-        part[orig as usize] = k0 as u32 + part1[i];
-    }
-    r.times.merge(&times0).merge(&times1)
-}
-
-/// Recursive k-way driver over an arbitrary bisector — used to lift the
-/// spectral baselines (MSB, MSB-KL, Chaco-ML) to k-way exactly the way the
-/// paper does (recursive bisection).
+/// Recursive k-way driver over an arbitrary bisector — used by
+/// [`kway_partition`] and to lift the spectral baselines (MSB, MSB-KL,
+/// Chaco-ML) to k-way exactly the way the paper does (recursive bisection).
 ///
 /// The bisector receives the subgraph, the `[side0, side1]` weight targets
-/// and a deterministic salt, and returns 0/1 labels.
+/// and a deterministic salt identifying the recursion path, and returns 0/1
+/// labels. Non-power-of-two `k` splits the targets `⌈k/2⌉ : ⌊k/2⌋`.
 pub fn recursive_kway_with<F>(g: &CsrGraph, k: usize, bisector: &F) -> Vec<u32>
 where
     F: Fn(&CsrGraph, [Wgt; 2], u64) -> Vec<u8> + Sync,
 {
     let mut part = vec![0u32; g.n()];
-    rec_with(g, k, bisector, 1, &mut part);
+    rec(g, k, bisector, 1, &mut part);
     part
 }
 
-fn rec_with<F>(g: &CsrGraph, k: usize, bisector: &F, salt: u64, part: &mut [u32])
+/// Recursive worker: writes labels `0..k` into `part` (parallel to `g`'s
+/// vertices). `salt` identifies the recursion path for deterministic
+/// re-seeding.
+fn rec<F>(g: &CsrGraph, k: usize, bisector: &F, salt: u64, part: &mut [u32])
 where
     F: Fn(&CsrGraph, [Wgt; 2], u64) -> Vec<u8> + Sync,
 {
@@ -134,6 +81,7 @@ where
     let k0 = k.div_ceil(2);
     let k1 = k - k0;
     let total = g.total_vwgt();
+    // Proportional target: side 0 receives k0/k of the weight.
     let t0 = ((total as i128 * k0 as i128) / k as i128) as Wgt;
     let bpart8 = bisector(g, [t0, total - t0], salt);
     if k == 2 {
@@ -149,12 +97,12 @@ where
     let mut part1 = vec![0u32; s1.graph.n()];
     if g.n() >= PARALLEL_THRESHOLD {
         rayon::join(
-            || rec_with(&s0.graph, k0, bisector, salt * 2, &mut part0),
-            || rec_with(&s1.graph, k1, bisector, salt * 2 + 1, &mut part1),
+            || rec(&s0.graph, k0, bisector, salt * 2, &mut part0),
+            || rec(&s1.graph, k1, bisector, salt * 2 + 1, &mut part1),
         );
     } else {
-        rec_with(&s0.graph, k0, bisector, salt * 2, &mut part0);
-        rec_with(&s1.graph, k1, bisector, salt * 2 + 1, &mut part1);
+        rec(&s0.graph, k0, bisector, salt * 2, &mut part0);
+        rec(&s1.graph, k1, bisector, salt * 2 + 1, &mut part1);
     }
     for (i, &orig) in s0.orig.iter().enumerate() {
         part[orig as usize] = part0[i];
@@ -228,9 +176,23 @@ mod tests {
     }
 
     #[test]
-    fn times_accumulate_over_recursion() {
+    fn trace_separates_every_bisection_of_the_recursion() {
         let g = grid2d(40, 40);
-        let r = kway_partition(&g, 8, &MlConfig::default());
-        assert!(r.times.coarsen > std::time::Duration::ZERO);
+        let trace = Trace::enabled();
+        kway_partition_traced(&g, 8, &MlConfig::default(), &trace);
+        let mut branches: Vec<u64> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                mlgp_trace::Event::CoarsenLevel {
+                    branch, level: 0, ..
+                } => Some(*branch),
+                _ => None,
+            })
+            .collect();
+        branches.sort_unstable();
+        // k - 1 bisections, each on its own recursion path.
+        assert_eq!(branches, (1..8).collect::<Vec<u64>>());
+        assert!(trace.span_total(mlgp_trace::SPAN_COARSEN).is_some());
     }
 }

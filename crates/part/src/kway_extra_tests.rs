@@ -5,13 +5,14 @@ use crate::config::MlConfig;
 use crate::kway::{kway_partition, recursive_kway_with};
 use crate::metrics::{edge_cut_kway, part_weights};
 use mlgp_graph::generators::grid2d;
+use mlgp_trace::Trace;
 
 #[test]
 fn generic_driver_matches_builtin_kway() {
     let g = grid2d(20, 20);
     let cfg = MlConfig::default();
     let generic = recursive_kway_with(&g, 4, &|sub: &mlgp_graph::CsrGraph, targets, salt| {
-        bisect_targets(sub, &cfg.reseed(salt), targets).part
+        bisect_targets(sub, &cfg.reseed(salt), targets, &Trace::disabled(), salt).part
     });
     let builtin = kway_partition(&g, 4, &cfg);
     assert_eq!(generic, builtin.part);

@@ -33,7 +33,6 @@
 //! always fits its (snapshot-legal) budget, so every round with proposals
 //! commits at least one move.
 
-use crate::bisect::PhaseTimes;
 use crate::config::MlConfig;
 use crate::kway::{kway_partition_traced, KwayResult};
 use crate::matching::{resolve_shards, shard_bounds};
@@ -396,14 +395,9 @@ pub fn kway_partition_refined_traced(
         threads: cfg.threads,
         ..KwayRefineOptions::default()
     };
-    let t = mlgp_trace::Stopwatch::start();
+    let t = trace.start();
     r.edge_cut = kway_refine_greedy_traced(g, &mut r.part, k, &opts, trace);
-    let d = t.elapsed();
-    trace.add_time(SPAN_REFINE, d);
-    r.times = r.times.merge(&PhaseTimes {
-        refine: d,
-        ..PhaseTimes::default()
-    });
+    trace.stop(t, SPAN_REFINE);
     r
 }
 

@@ -41,31 +41,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The workspace's sole doorway to the wall clock.
-///
-/// The determinism contract (DESIGN.md §10–§11, lint rule `D3`) bans
-/// `Instant`/`SystemTime` from algorithm crates: timing must be
-/// observability-only, never an input to a partitioning decision. Kernel
-/// code that wants phase timings measures them through this type, keeping
-/// every wall-clock read inside `crates/trace` where the static-analysis
-/// gate can see that it only flows into telemetry.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(Instant);
-
-impl Stopwatch {
-    /// Start timing now.
-    #[inline]
-    pub fn start() -> Self {
-        Stopwatch(Instant::now())
-    }
-
-    /// Wall-clock time elapsed since [`Stopwatch::start`].
-    #[inline]
-    pub fn elapsed(&self) -> Duration {
-        self.0.elapsed()
-    }
-}
-
 /// Span path for the coarsening phase — the paper's **CTime**.
 pub const SPAN_COARSEN: &str = "coarsen";
 /// Span path for coarsest-graph partitioning — the paper's **ITime**.
@@ -344,6 +319,10 @@ impl Trace {
 
     /// Start a timer; returns a token that is `None` when disabled (so no
     /// `Instant::now()` is taken). Stop with [`Trace::stop`].
+    ///
+    /// Algorithm crates read the clock only through this pair (lint rule
+    /// `D3`), so a timing can flow into telemetry but never into a
+    /// partitioning decision.
     #[inline]
     pub fn start(&self) -> Timer {
         Timer(self.sink.as_ref().map(|_| Instant::now()))
@@ -357,9 +336,9 @@ impl Trace {
         }
     }
 
-    /// Accumulate an externally measured duration under `path`
-    /// (`/`-separated components form the summary tree).
-    pub fn add_time(&self, path: &str, d: Duration) {
+    /// Accumulate a measured duration under `path` (`/`-separated
+    /// components form the summary tree).
+    fn add_time(&self, path: &str, d: Duration) {
         if let Some(c) = &self.sink {
             let mut inner = lock(&c.inner);
             let s = inner.spans.entry(path.to_string()).or_default();
@@ -400,11 +379,20 @@ impl Trace {
         }
     }
 
-    /// Total accumulated time under `path`, if any was recorded.
+    /// Total accumulated time under `path` and its descendants (so
+    /// [`SPAN_UNCOARSEN`] is UTime), if any was recorded.
     pub fn span_total(&self, path: &str) -> Option<Duration> {
         let c = self.sink.as_ref()?;
         let inner = lock(&c.inner);
-        inner.spans.get(path).map(|s| s.total)
+        inner
+            .spans
+            .iter()
+            .filter(|(p, _)| {
+                p.strip_prefix(path)
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+            })
+            .map(|(_, s)| s.total)
+            .reduce(|a, b| a + b)
     }
 
     /// Snapshot of all recorded events.
@@ -540,7 +528,7 @@ impl SpanTree {
         if self.children.is_empty() {
             return;
         }
-        out.push_str("phase tree (wall-clock):\n");
+        out.push_str("phase tree (times summed over recursion branches):\n");
         let grand: Duration = self.children.values().map(|c| c.total()).sum();
         for (name, node) in &self.children {
             node.render_rec(name, 1, grand, out);
@@ -622,7 +610,7 @@ mod tests {
 
     #[test]
     fn span_nesting_reconstructs_utime_identity() {
-        // UTime = ITime + RTime + PTime (paper §4.1, PhaseTimes::uncoarsen).
+        // UTime = ITime + RTime + PTime (paper §4.1).
         let t = Trace::enabled();
         let (i, r, p) = (
             Duration::from_millis(120),
@@ -640,6 +628,9 @@ mod tests {
         let tree = SpanTree::build(&spans);
         let uncoarsen = tree.children.get(SPAN_UNCOARSEN).unwrap();
         assert_eq!(uncoarsen.total(), i + r + p);
+        assert_eq!(t.span_total(SPAN_UNCOARSEN), Some(i + r + p));
+        assert_eq!(t.span_total(SPAN_COARSEN), Some(Duration::from_millis(500)));
+        assert_eq!(t.span_total("uncoarsen/ref"), None);
         assert_eq!(
             tree.total(),
             Duration::from_millis(500) + i + r + p,

@@ -116,6 +116,29 @@ fn unknown_commands_fail_cleanly() {
 }
 
 #[test]
+fn non_positive_chaco_weights_are_errors_not_panics() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-weights-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, text) in [
+        ("zero-vwgt", "2 1 10\n0 2\n1 1\n"),
+        ("negative-vwgt", "2 1 10\n1 2\n-1 1\n"),
+        ("zero-ewgt", "2 1 1\n2 0\n1 0\n"),
+    ] {
+        let path = dir.join(format!("{name}.graph"));
+        std::fs::write(&path, text).unwrap();
+        let out = mlgp()
+            .args(["partition", path.to_str().unwrap(), "2"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(stderr.contains("must be positive"), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn help_prints_usage() {
     let out = mlgp().args(["--help"]).output().unwrap();
     assert!(out.status.success());
