@@ -34,13 +34,6 @@ use mlgp_part::{
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SEED: u64 = 4242;
 
-fn pool(nt: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(nt)
-        .build()
-        .expect("thread pool")
-}
-
 fn main() {
     let opts = BenchOpts::from_args();
     // ~202.5k vertices at scale 1 (the ISSUE floor is 200k); --scale F
@@ -74,10 +67,9 @@ fn main() {
         let mut t1 = 0.0f64;
         let mut reference: Option<u64> = None;
         for &nt in &THREADS {
-            let p = pool(nt);
             // Each kernel returns a cheap fingerprint of its output so the
             // run cross-checks determinism across thread counts.
-            let (fp, secs) = p.install(|| match kernel {
+            let (fp, secs) = vecops::with_fanout(nt, || match kernel {
                 "match" => timed(|| {
                     let (m, _) = compute_matching_threads(
                         &g,
@@ -88,7 +80,7 @@ fn main() {
                     );
                     fingerprint(m.partner.iter().map(|&x| x as u64))
                 }),
-                "contract" => timed(|| {
+                "contract" => {
                     let (m, _) = compute_matching_threads(
                         &g,
                         MatchingScheme::HeavyEdge,
@@ -97,15 +89,17 @@ fn main() {
                         nt,
                     );
                     let (cmap, nc) = m.to_cmap();
-                    let (c, _) = contract_threads(&g, &cmap, nc, &cewgt, nt);
-                    fingerprint(
-                        c.graph
-                            .adjncy()
-                            .iter()
-                            .map(|&x| x as u64)
-                            .chain(c.graph.adjwgt().iter().map(|&x| x as u64)),
-                    )
-                }),
+                    timed(|| {
+                        let (c, _) = contract_threads(&g, &cmap, nc, &cewgt, nt);
+                        fingerprint(
+                            c.graph
+                                .adjncy()
+                                .iter()
+                                .map(|&x| x as u64)
+                                .chain(c.graph.adjwgt().iter().map(|&x| x as u64)),
+                        )
+                    })
+                }
                 "coarsen" => timed(|| {
                     let cfg = MlConfig { threads: nt, ..cfg };
                     let h = coarsen(&g, &cfg, &mut seeded(SEED));

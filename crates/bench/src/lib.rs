@@ -9,6 +9,10 @@
 //! (MSB is the 10-35× slower method). `--keys A,B,C` restricts the rows,
 //! and `--json [FILE]` additionally emits the rows as JSONL (to stdout when
 //! no file is given) for tracking results across commits.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the experiment harness measures wall-clock time by design"
+)]
 
 use mlgp_graph::generators::{entry, SuiteEntry};
 use mlgp_graph::CsrGraph;
@@ -134,7 +138,10 @@ impl BenchOpts {
 
     /// Generate the (scaled) graph for a suite key.
     pub fn graph(&self, key: &str) -> (&'static SuiteEntry, CsrGraph) {
-        // LINT: allow(panic, CLI-facing lookup — an unknown suite key is a usage error reported by aborting the bench run)
+        #[expect(
+            clippy::panic,
+            reason = "CLI-facing lookup: an unknown suite key is a usage error that aborts the bench run"
+        )]
         let e = entry(key).unwrap_or_else(|| panic!("unknown suite key {key}"));
         (e, e.generate_scaled(self.scale))
     }

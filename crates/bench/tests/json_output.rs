@@ -3,6 +3,7 @@
 
 use std::process::Command;
 
+#[expect(clippy::panic, reason = "test helper: a malformed row fails the test")]
 fn parse_rows(jsonl: &str) -> Vec<mlgp_trace::json::Value> {
     jsonl
         .lines()

@@ -71,8 +71,12 @@ pub fn sphere_bisect(g: &CsrGraph, points: &[Point], cfg: &SphereConfig) -> Vec<
             best = Some((cut, part));
         }
     }
-    // LINT: allow(panic, loop above runs trials.max(1) >= 1 iterations, so best is always Some)
-    best.unwrap().1
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the loop above runs trials.max(1) >= 1 iterations, so best is always Some"
+    )]
+    let (_, part) = best.unwrap();
+    part
 }
 
 /// k-way partitioning by recursive randomized-separator bisection.

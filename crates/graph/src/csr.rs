@@ -49,7 +49,10 @@ impl CsrGraph {
             vwgt: vec![1; n],
             adjwgt: vec![1; nnz],
         };
-        // LINT: allow(panic, documented constructor contract — the `# Panics` section promises rejection of malformed CSR input)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: `# Panics` promises rejection of malformed CSR input"
+        )]
         g.validate().expect("malformed CSR adjacency");
         g
     }
@@ -65,7 +68,10 @@ impl CsrGraph {
             vwgt,
             adjwgt,
         };
-        // LINT: allow(panic, documented constructor contract — the `# Panics` section promises rejection of malformed CSR input)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented constructor contract: `# Panics` promises rejection of malformed CSR input"
+        )]
         g.validate().expect("malformed CSR graph");
         g
     }

@@ -151,16 +151,7 @@ impl SymOp for Laplacian<'_> {
                 });
         };
         if self.g.n() >= PAR_APPLY_THRESHOLD && self.threads != 1 {
-            if self.threads == 0 {
-                shard(y);
-            } else {
-                // LINT: allow(panic, pool construction fails only on thread-spawn resource exhaustion; no recovery is possible)
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(self.threads)
-                    .build()
-                    .expect("advisory thread pool")
-                    .install(|| shard(y));
-            }
+            crate::vecops::with_fanout(self.threads, || shard(y));
         } else {
             for v in 0..self.g.n() as Vid {
                 y[v as usize] = row(v);

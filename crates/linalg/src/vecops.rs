@@ -75,7 +75,7 @@ where
     let mut partials = vec![0.0f64; nchunks];
     if n >= PAR_MIN_LEN && fanout(threads) > 1 {
         use rayon::prelude::*;
-        let mut run = || {
+        let run = || {
             partials
                 .par_iter_mut()
                 .enumerate()
@@ -86,11 +86,7 @@ where
                     *p = reduce_chunk(lo, hi);
                 });
         };
-        if threads == 0 {
-            run();
-        } else {
-            advisory_pool(threads).install(run);
-        }
+        with_fanout(threads, run);
     } else {
         for (ci, p) in partials.iter_mut().enumerate() {
             let lo = ci * REDUCTION_CHUNK;
@@ -101,15 +97,6 @@ where
     partials
 }
 
-/// An advisory pool capping the shim's fan-out at `threads`.
-fn advisory_pool(threads: usize) -> rayon::ThreadPool {
-    // LINT: allow(panic, pool construction fails only on thread-spawn resource exhaustion; no recovery is possible)
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("advisory thread pool")
-}
-
 /// Run `f` under an advisory fan-out cap: `threads == 0` leaves the
 /// ambient pool untouched, any other value caps every parallel kernel
 /// invoked inside `f` (including nested [`rayon::join`] forks) at
@@ -117,10 +104,17 @@ fn advisory_pool(threads: usize) -> rayon::ThreadPool {
 /// vecops/SpMV calls all follow one knob.
 pub fn with_fanout<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     if threads == 0 {
-        f()
-    } else {
-        advisory_pool(threads).install(f)
+        return f();
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "pool construction fails only on thread-spawn resource exhaustion; no recovery is possible"
+    )]
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("advisory thread pool");
+    pool.install(f)
 }
 
 /// Run an elementwise kernel over `y` in disjoint [`REDUCTION_CHUNK`]
@@ -142,11 +136,7 @@ where
                 .with_min_len(1)
                 .for_each(|(ci, ch)| f(ci * REDUCTION_CHUNK, ch));
         };
-        if threads == 0 {
-            run(&mut chunks);
-        } else {
-            advisory_pool(threads).install(|| run(&mut chunks));
-        }
+        with_fanout(threads, || run(&mut chunks));
     } else {
         f(0, y);
     }

@@ -12,11 +12,9 @@ fn sym_matrix() -> impl Strategy<Value = DenseSym> {
     (2usize..=8).prop_flat_map(|n| {
         prop::collection::vec(-5.0f64..5.0, n * (n + 1) / 2).prop_map(move |vals| {
             let mut m = DenseSym::zeros(n);
-            let mut it = vals.into_iter();
-            for i in 0..n {
-                for j in i..n {
-                    m.set_sym(i, j, it.next().unwrap());
-                }
+            let upper = (0..n).flat_map(|i| (i..n).map(move |j| (i, j)));
+            for ((i, j), v) in upper.zip(vals) {
+                m.set_sym(i, j, v);
             }
             m
         })

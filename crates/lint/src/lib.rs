@@ -1,32 +1,24 @@
-//! `mlgp-lint` — workspace static analysis for the determinism & safety
-//! contract (DESIGN.md §10–§11).
+//! `mlgp-lint` — the two rules of the determinism & safety contract
+//! (DESIGN.md §10–§11) that clippy cannot express.
 //!
-//! PRs 2–4 parallelized every phase of the multilevel pipeline behind a
-//! hard contract: **bit-identical results at any thread count**, enforced
-//! by round-based CAS handshakes, seeded rank keys, and fixed-shape
-//! chunked float reductions. That contract used to live only in runtime
-//! test suites and reviewers' heads; this crate encodes it as a static
-//! gate with `file:line` diagnostics. The rules:
+//! The workspace promises **bit-identical results at any thread count**.
+//! rustc and clippy enforce most of that contract through
+//! `[workspace.lints]` and `crates/clippy.toml` (hash containers, the wall
+//! clock, `unsafe`, library panics, reasonless suppressions). This crate
+//! checks the two rules that need to see comments or an accumulator's
+//! surroundings, with `file:line` diagnostics:
 //!
 //! | rule | checks |
 //! |------|--------|
-//! | `D1` | no `HashMap`/`HashSet` **iteration** in kernel crates (`part`, `graph`, `linalg`, `order`, `spectral`) — hash iteration order is arbitrary and poisons determinism |
-//! | `D2` | no raw floating-point `+=` / `.sum()` accumulation in modules that contain parallel kernels — reductions must route through `vecops::chunked_reduce` (the `vecops.rs` implementation itself is allowlisted) |
-//! | `D3` | no wall clock or ambient entropy (`SystemTime`, `Instant`, `thread_rng`, …) outside `crates/trace`, `crates/bench`, and `bin/` sources |
-//! | `P1` | every `unsafe` must be preceded by a `// SAFETY:` proof |
+//! | `D2` | no raw floating-point `+=` / `.sum()` accumulation in kernel-crate (`part`, `graph`, `linalg`, `order`, `spectral`) modules that contain parallel kernels — reductions must route through `vecops::chunked_reduce` (the `vecops.rs` implementation itself is allowlisted) |
 //! | `P2` | every `Ordering::Relaxed` must carry a `// RELAXED:` justification |
-//! | `R1` | no `.unwrap()` / `.expect(` / `panic!` in library (non-test, non-bin) code |
 //!
-//! Suppression syntax (the reason is **mandatory**; a reasonless
-//! suppression is itself a diagnostic):
+//! Suppression syntax (a suppression without its reason does not
+//! suppress):
 //!
 //! ```text
-//! // SAFETY: <proof that the invariant holds>           (covers P1)
 //! // RELAXED: <why relaxed ordering is sufficient>      (covers P2)
-//! // LINT: allow(hashmap_iter, <reason>)                (covers D1)
 //! // LINT: allow(float_accum, <reason>)                 (covers D2)
-//! // LINT: allow(wallclock, <reason>)                   (covers D3)
-//! // LINT: allow(panic, <reason>)                       (covers R1)
 //! ```
 //!
 //! An annotation covers every violating token on its own line (trailing
@@ -35,7 +27,7 @@
 //! ends the covered block). The scanner is comment- and
 //! string-aware: tokens inside string literals, char literals, and
 //! comments never fire, and `#[cfg(test)]` modules / `#[test]` functions
-//! are exempt from `R1` (tests may unwrap).
+//! are exempt from `D2`.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -43,12 +35,8 @@ use std::path::{Path, PathBuf};
 mod scanner;
 pub use scanner::{strip_source, Line};
 
-/// Crates whose kernels carry the determinism contract (D1/D2 scope).
+/// Crates whose kernels carry the determinism contract (D2 scope).
 pub const KERNEL_CRATES: [&str; 5] = ["part", "graph", "linalg", "order", "spectral"];
-
-/// Crates allowed to read the wall clock / entropy (D3 scope): the
-/// observability layer owns time, and the bench harness measures it.
-pub const WALLCLOCK_CRATES: [&str; 2] = ["trace", "bench"];
 
 /// Files (by trailing path) exempt from D2: the deterministic reduction
 /// primitives themselves.
@@ -57,81 +45,24 @@ pub const FLOAT_ACCUM_ALLOWLIST: [&str; 1] = ["linalg/src/vecops.rs"];
 /// Rule identifiers, as printed in diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Hash-container iteration in a kernel crate.
-    D1HashIter,
     /// Raw float accumulation in a parallel-kernel module.
     D2FloatAccum,
-    /// Wall clock / ambient entropy outside trace & bench.
-    D3WallClock,
-    /// `unsafe` without a `// SAFETY:` proof.
-    P1UnsafeSafety,
     /// `Ordering::Relaxed` without a `// RELAXED:` justification.
     P2RelaxedJustify,
-    /// `unwrap`/`expect`/`panic!` in library code.
-    R1PanicFree,
-    /// Malformed suppression (missing mandatory reason, unknown rule).
-    Meta,
 }
 
 impl Rule {
     /// Short code used in diagnostics and fixture assertions.
     pub fn code(self) -> &'static str {
         match self {
-            Rule::D1HashIter => "D1",
             Rule::D2FloatAccum => "D2",
-            Rule::D3WallClock => "D3",
-            Rule::P1UnsafeSafety => "P1",
             Rule::P2RelaxedJustify => "P2",
-            Rule::R1PanicFree => "R1",
-            Rule::Meta => "META",
-        }
-    }
-
-    /// The `allow(<name>, …)` key that suppresses this rule, if the
-    /// rule is suppressed through the generic form.
-    pub fn allow_key(self) -> Option<&'static str> {
-        match self {
-            Rule::D1HashIter => Some("hashmap_iter"),
-            Rule::D2FloatAccum => Some("float_accum"),
-            Rule::D3WallClock => Some("wallclock"),
-            Rule::R1PanicFree => Some("panic"),
-            _ => None,
         }
     }
 
     /// All checkable rules, in report order.
-    pub fn all() -> [Rule; 6] {
-        [
-            Rule::D1HashIter,
-            Rule::D2FloatAccum,
-            Rule::D3WallClock,
-            Rule::P1UnsafeSafety,
-            Rule::P2RelaxedJustify,
-            Rule::R1PanicFree,
-        ]
-    }
-
-    /// One-line description for `--list-rules`.
-    pub fn describe(self) -> &'static str {
-        match self {
-            Rule::D1HashIter => {
-                "no HashMap/HashSet iteration in kernel crates (hash order is nondeterministic)"
-            }
-            Rule::D2FloatAccum => {
-                "no raw float +=/.sum() in parallel-kernel modules; use vecops::chunked_reduce"
-            }
-            Rule::D3WallClock => {
-                "no SystemTime/Instant/thread_rng outside crates/trace, crates/bench, and bin/"
-            }
-            Rule::P1UnsafeSafety => "every `unsafe` needs a preceding `// SAFETY:` proof",
-            Rule::P2RelaxedJustify => {
-                "every `Ordering::Relaxed` needs a `// RELAXED:` justification"
-            }
-            Rule::R1PanicFree => {
-                "no .unwrap()/.expect(/panic! in library code; `// LINT: allow(panic, why)` to keep"
-            }
-            Rule::Meta => "suppression comments must carry a reason",
-        }
+    pub fn all() -> [Rule; 2] {
+        [Rule::D2FloatAccum, Rule::P2RelaxedJustify]
     }
 }
 
@@ -164,16 +95,10 @@ impl fmt::Display for Diagnostic {
 /// How a file participates in the rule set, derived from its path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileClass {
-    /// Crate name (`part`, `graph`, …) when under `crates/<name>/src`.
-    pub crate_name: String,
-    /// `src/bin/…` or `main.rs`: binary entry points (D3/R1 exempt).
-    pub is_bin: bool,
-    /// File name contains `test`: a test-only module file (R1 exempt).
+    /// File name contains `test`: a test-only module file (D2 exempt).
     pub is_test_file: bool,
-    /// Member of [`KERNEL_CRATES`] (D1/D2 scope).
+    /// Under `crates/<name>/src` for a [`KERNEL_CRATES`] member (D2 scope).
     pub is_kernel: bool,
-    /// Member of [`WALLCLOCK_CRATES`] (D3 exempt).
-    pub may_use_wallclock: bool,
     /// Listed in [`FLOAT_ACCUM_ALLOWLIST`] (D2 exempt).
     pub float_accum_allowed: bool,
 }
@@ -191,100 +116,48 @@ impl FileClass {
             .map(|(pre, _)| pre)
             .or_else(|| unix.rsplit_once("/src").map(|(pre, _)| pre))
             .and_then(|pre| pre.rsplit('/').next())
-            .unwrap_or("")
-            .to_string();
+            .unwrap_or("");
         let file_name = path
             .file_name()
             .map(|f| f.to_string_lossy().into_owned())
             .unwrap_or_default();
-        let is_bin = unix.contains("/bin/") || file_name == "main.rs" || file_name == "build.rs";
-        let is_test_file = file_name.contains("test");
-        let is_kernel = KERNEL_CRATES.contains(&crate_name.as_str());
-        let may_use_wallclock = WALLCLOCK_CRATES.contains(&crate_name.as_str());
-        let float_accum_allowed = FLOAT_ACCUM_ALLOWLIST
-            .iter()
-            .any(|suffix| unix.ends_with(suffix));
         FileClass {
-            crate_name,
-            is_bin,
-            is_test_file,
-            is_kernel,
-            may_use_wallclock,
-            float_accum_allowed,
+            is_test_file: file_name.contains("test"),
+            is_kernel: KERNEL_CRATES.contains(&crate_name),
+            float_accum_allowed: FLOAT_ACCUM_ALLOWLIST
+                .iter()
+                .any(|suffix| unix.ends_with(suffix)),
         }
     }
 }
 
-/// Suppressions parsed from one line's comment text.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// Suppressions parsed from one line's comment text. A marker without
+/// its reason does not count.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct Annotations {
-    safety: bool,
+    /// `// RELAXED: <justification>` (P2).
     relaxed: bool,
-    /// `allow(<key>, reason)` keys present with a nonempty reason.
-    allows: Vec<String>,
-    /// Malformed suppressions: `(description)` reported as META.
-    malformed: Vec<String>,
+    /// `// LINT: allow(float_accum, <reason>)` (D2).
+    float_accum: bool,
 }
 
 impl Annotations {
     fn parse(comment: &str) -> Annotations {
-        let mut a = Annotations::default();
-        if let Some(rest) = find_marker(comment, "SAFETY:") {
-            if rest.trim().is_empty() {
-                a.malformed.push("`SAFETY:` without a proof".to_string());
-            } else {
-                a.safety = true;
-            }
+        let relaxed = find_marker(comment, "RELAXED:").is_some_and(|rest| !rest.trim().is_empty());
+        let float_accum = find_marker(comment, "LINT:")
+            .and_then(|rest| rest.split_once("allow("))
+            .and_then(|(_, body)| body.split_once(')'))
+            .and_then(|(inner, _)| inner.split_once(','))
+            .is_some_and(|(key, reason)| key.trim() == "float_accum" && !reason.trim().is_empty());
+        Annotations {
+            relaxed,
+            float_accum,
         }
-        if let Some(rest) = find_marker(comment, "RELAXED:") {
-            if rest.trim().is_empty() {
-                a.malformed
-                    .push("`RELAXED:` without a justification".to_string());
-            } else {
-                a.relaxed = true;
-            }
-        }
-        let mut scan = comment;
-        while let Some(rest) = find_marker(scan, "LINT:") {
-            let Some(open) = rest.find("allow(") else {
-                a.malformed
-                    .push("`LINT:` without an `allow(rule, reason)`".to_string());
-                break;
-            };
-            let body = &rest[open + "allow(".len()..];
-            let Some(close) = body.find(')') else {
-                a.malformed.push("unclosed `LINT: allow(`".to_string());
-                break;
-            };
-            let inner = &body[..close];
-            match inner.split_once(',') {
-                Some((key, reason)) if !reason.trim().is_empty() => {
-                    let key = key.trim().to_string();
-                    let known = Rule::all().iter().any(|r| r.allow_key() == Some(&key[..]));
-                    if known {
-                        a.allows.push(key);
-                    } else {
-                        a.malformed
-                            .push(format!("unknown lint rule `{key}` in allow()"));
-                    }
-                }
-                _ => a.malformed.push(format!(
-                    "`LINT: allow({inner})` is missing its mandatory reason"
-                )),
-            }
-            scan = &body[close..];
-        }
-        a
     }
 
-    fn merge(&mut self, other: &Annotations) {
-        self.safety |= other.safety;
+    fn merge(&mut self, other: Annotations) {
         self.relaxed |= other.relaxed;
-        self.allows.extend(other.allows.iter().cloned());
-    }
-
-    fn allows_key(&self, key: &str) -> bool {
-        self.allows.iter().any(|k| k == key)
+        self.float_accum |= other.float_accum;
     }
 }
 
@@ -366,28 +239,6 @@ fn has_float_literal(code: &str) -> bool {
     false
 }
 
-/// Hash-container iteration methods (D1).
-const HASH_ITER_METHODS: [&str; 8] = [
-    ".iter()",
-    ".iter_mut()",
-    ".keys()",
-    ".values()",
-    ".values_mut()",
-    ".drain(",
-    ".into_iter()",
-    ".retain(",
-];
-
-/// Wall-clock / ambient-entropy tokens (D3).
-const WALLCLOCK_TOKENS: [&str; 6] = [
-    "SystemTime",
-    "Instant",
-    "thread_rng",
-    "from_entropy",
-    "getrandom",
-    "UNIX_EPOCH",
-];
-
 /// Deterministic-reduction entry points whose argument lists are exempt
 /// from D2 (the sanctioned intra-chunk serial accumulation pattern).
 const REDUCE_SINKS: [&str; 3] = ["chunked_reduce", "chunk_partials", "pairwise_sum"];
@@ -399,35 +250,22 @@ pub fn scan_source(source: &str, class: &FileClass, file: &Path) -> Vec<Diagnost
 
     // Per-line annotations, then effective coverage: a standalone comment
     // line extends its annotations over the contiguous code block beneath.
-    let per_line: Vec<Annotations> = lines
-        .iter()
-        .map(|l| Annotations::parse(&l.comment))
-        .collect();
     let mut coverage: Vec<Annotations> = vec![Annotations::default(); lines.len()];
     let mut carried = Annotations::default();
     for (i, line) in lines.iter().enumerate() {
+        let own = Annotations::parse(&line.comment);
         let standalone = line.code.trim().is_empty() && !line.comment.trim().is_empty();
         let blank = line.code.trim().is_empty() && line.comment.trim().is_empty();
         if standalone {
-            carried.merge(&per_line[i]);
+            carried.merge(own);
         } else if blank {
             carried = Annotations::default();
         }
-        coverage[i] = per_line[i].clone();
+        coverage[i] = own;
         if !standalone {
-            let c = carried.clone();
-            coverage[i].merge(&c);
-        }
-        for m in &per_line[i].malformed {
-            out.push(Diagnostic {
-                file: file.to_path_buf(),
-                line: i + 1,
-                rule: Rule::Meta,
-                message: m.clone(),
-            });
+            coverage[i].merge(carried);
         }
     }
-
     // Region tracking: `#[cfg(test)]` / `#[test]` scopes (brace-balanced)
     // and `chunked_reduce(...)` argument spans (paren-balanced).
     let mut in_test_region = vec![false; lines.len()];
@@ -511,9 +349,6 @@ pub fn scan_source(source: &str, class: &FileClass, file: &Path) -> Vec<Diagnost
             || c.contains("thread::spawn")
     });
 
-    // D1 state: names bound to hash containers in this file.
-    let mut hash_vars: Vec<String> = Vec::new();
-
     // D2 state: names bound to float accumulators in this file.
     let mut float_vars: Vec<String> = Vec::new();
 
@@ -531,18 +366,8 @@ pub fn scan_source(source: &str, class: &FileClass, file: &Path) -> Vec<Diagnost
         if code.trim().is_empty() {
             continue;
         }
-        let cov = &coverage[i];
+        let cov = coverage[i];
         let in_test = in_test_region[i] || class.is_test_file;
-
-        // ---- P1: unsafe needs SAFETY -------------------------------
-        if has_word(code, "unsafe") && !cov.safety {
-            push(
-                &mut out,
-                i,
-                Rule::P1UnsafeSafety,
-                "`unsafe` without a preceding `// SAFETY:` proof".to_string(),
-            );
-        }
 
         // ---- P2: Ordering::Relaxed needs RELAXED -------------------
         if code.contains("Ordering::Relaxed") && !cov.relaxed {
@@ -552,90 +377,6 @@ pub fn scan_source(source: &str, class: &FileClass, file: &Path) -> Vec<Diagnost
                 Rule::P2RelaxedJustify,
                 "`Ordering::Relaxed` without a `// RELAXED:` justification".to_string(),
             );
-        }
-
-        // ---- D3: wall clock / entropy ------------------------------
-        if !class.may_use_wallclock && !class.is_bin && !in_test {
-            for tok in WALLCLOCK_TOKENS {
-                if has_word(code, tok) && !cov.allows_key("wallclock") {
-                    push(
-                        &mut out,
-                        i,
-                        Rule::D3WallClock,
-                        format!(
-                            "`{tok}` outside crates/trace|bench: wall clock and ambient entropy \
-                             break reproducibility (time through mlgp_trace::Trace::start/stop)"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // ---- R1: panic-free library code ---------------------------
-        if !class.is_bin && !in_test {
-            let hits = [
-                (".unwrap()", "`.unwrap()`"),
-                (".expect(", "`.expect(…)`"),
-                ("panic!", "`panic!`"),
-            ];
-            for (needle, label) in hits {
-                if code.contains(needle) && !cov.allows_key("panic") {
-                    push(
-                        &mut out,
-                        i,
-                        Rule::R1PanicFree,
-                        format!(
-                            "{label} in library code: return an error or annotate \
-                             `// LINT: allow(panic, why this cannot fire)`"
-                        ),
-                    );
-                }
-            }
-        }
-
-        // ---- D1: hash-container iteration in kernel crates ---------
-        if class.is_kernel && !in_test {
-            let mentions_hash = code.contains("HashMap") || code.contains("HashSet");
-            if mentions_hash {
-                // Record bindings: `let [mut] name … HashMap/HashSet …`.
-                if let Some(name) = binding_name(code) {
-                    hash_vars.push(name);
-                }
-                // Inline construction + iteration on one line.
-                if HASH_ITER_METHODS.iter().any(|m| code.contains(m))
-                    && !cov.allows_key("hashmap_iter")
-                {
-                    push(
-                        &mut out,
-                        i,
-                        Rule::D1HashIter,
-                        "iterating a hash container in a kernel crate: hash order is \
-                         nondeterministic; use a sorted Vec or BTreeMap"
-                            .to_string(),
-                    );
-                }
-            } else {
-                let iterated = hash_vars.iter().any(|v| {
-                    HASH_ITER_METHODS
-                        .iter()
-                        .any(|m| code.contains(&format!("{v}{m}")))
-                        || (code.contains("for ") && {
-                            code.split(" in ")
-                                .nth(1)
-                                .is_some_and(|tail| has_word(tail, v))
-                        })
-                });
-                if iterated && !cov.allows_key("hashmap_iter") {
-                    push(
-                        &mut out,
-                        i,
-                        Rule::D1HashIter,
-                        "iterating a hash container in a kernel crate: hash order is \
-                         nondeterministic; use a sorted Vec or BTreeMap"
-                            .to_string(),
-                    );
-                }
-            }
         }
 
         // ---- D2: raw float accumulation in parallel modules --------
@@ -661,7 +402,7 @@ pub fn scan_source(source: &str, class: &FileClass, file: &Path) -> Vec<Diagnost
             if accumulates
                 && (float_evidence || typed_float_sum)
                 && !in_reduce_args[i]
-                && !cov.allows_key("float_accum")
+                && !cov.float_accum
             {
                 push(
                     &mut out,
@@ -759,42 +500,19 @@ mod tests {
         diags.iter().map(|d| d.rule.code()).collect()
     }
 
+    /// A module with a parallel kernel, so D2 applies to what follows.
+    const PAR: &str = "fn g(xs: &mut [f64]) { xs.par_iter_mut().for_each(|x| *x *= 2.0); }\n";
+
     #[test]
     fn classifies_paths() {
         let c = FileClass::from_path(Path::new("crates/part/src/refine/fm.rs"));
-        assert_eq!(c.crate_name, "part");
-        assert!(c.is_kernel && !c.is_bin && !c.is_test_file);
+        assert!(c.is_kernel && !c.is_test_file && !c.float_accum_allowed);
         let b = FileClass::from_path(Path::new("crates/bench/src/bin/parallel.rs"));
-        assert_eq!(b.crate_name, "bench");
-        assert!(b.is_bin && b.may_use_wallclock);
+        assert!(!b.is_kernel);
         let t = FileClass::from_path(Path::new("crates/part/src/kway_extra_tests.rs"));
         assert!(t.is_test_file);
         let v = FileClass::from_path(Path::new("crates/linalg/src/vecops.rs"));
         assert!(v.float_accum_allowed);
-    }
-
-    #[test]
-    fn r1_flags_unwrap_and_respects_allow() {
-        let class = kernel_class();
-        let bad = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert_eq!(codes(&scan(bad, &class)), ["R1"]);
-        let ok = "fn f(x: Option<u32>) -> u32 {\n    // LINT: allow(panic, x is Some by construction)\n    x.unwrap()\n}\n";
-        assert!(scan(ok, &class).is_empty());
-        let trailing =
-            "fn f(x: Option<u32>) -> u32 { x.unwrap() } // LINT: allow(panic, infallible)\n";
-        assert!(scan(trailing, &class).is_empty());
-    }
-
-    #[test]
-    fn r1_skips_tests_and_strings() {
-        let class = kernel_class();
-        let in_test =
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n";
-        assert!(scan(in_test, &class).is_empty());
-        let in_string = "fn f() -> &'static str { \"don't panic!(.unwrap())\" }\n";
-        assert!(scan(in_string, &class).is_empty());
-        let in_comment = "// calling .unwrap() here would be bad\nfn f() {}\n";
-        assert!(scan(in_comment, &class).is_empty());
     }
 
     #[test]
@@ -804,26 +522,18 @@ mod tests {
         assert_eq!(codes(&scan(bad, &class)), ["P2"]);
         let ok = "// RELAXED: statistic only\nfn f(a: &AtomicU32) -> u32 { a.load(Ordering::Relaxed) }\n";
         assert!(scan(ok, &class).is_empty());
+        let trailing =
+            "fn f(a: &AtomicU32) -> u32 { a.load(Ordering::Relaxed) } // RELAXED: stat\n";
+        assert!(scan(trailing, &class).is_empty());
     }
 
     #[test]
-    fn p1_requires_safety_proof() {
+    fn tokens_in_strings_and_comments_never_fire() {
         let class = kernel_class();
-        let bad = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        assert_eq!(codes(&scan(bad, &class)), ["P1"]);
-        let ok = "// SAFETY: p is valid for reads, checked by caller\nfn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        assert!(scan(ok, &class).is_empty());
-    }
-
-    #[test]
-    fn d1_flags_iteration_not_lookup() {
-        let class = kernel_class();
-        let lookup = "fn f() {\n    let mut m: HashMap<u32, u32> = HashMap::new();\n    m.insert(1, 2);\n    let _ = m.get(&1);\n}\n";
-        assert!(scan(lookup, &class).is_empty());
-        let iter = "fn f() {\n    let mut m: HashMap<u32, u32> = HashMap::new();\n    for (k, v) in m.iter() { let _ = (k, v); }\n}\n";
-        assert_eq!(codes(&scan(iter, &class)), ["D1"]);
-        let for_in = "fn f() {\n    let m: HashSet<u32> = HashSet::new();\n    for k in &m { let _ = k; }\n}\n";
-        assert_eq!(codes(&scan(for_in, &class)), ["D1"]);
+        let in_string = "fn f() -> &'static str { \"Ordering::Relaxed\" }\n";
+        assert!(scan(in_string, &class).is_empty());
+        let in_comment = "// Ordering::Relaxed would be wrong here\nfn f() {}\n";
+        assert!(scan(in_comment, &class).is_empty());
     }
 
     #[test]
@@ -831,52 +541,44 @@ mod tests {
         let class = kernel_class();
         let serial = "fn f(xs: &[f64]) -> f64 {\n    let mut acc = 0.0;\n    for x in xs { acc += x; }\n    acc\n}\n";
         assert!(scan(serial, &class).is_empty(), "no parallel kernel here");
-        let parallel = "fn g(xs: &mut [f64]) { xs.par_iter_mut().for_each(|x| *x += 1.0); }\nfn f(xs: &[f64]) -> f64 {\n    let mut acc = 0.0;\n    for x in xs { acc += x; }\n    acc\n}\n";
-        let d = scan(parallel, &class);
+        let parallel = format!("{PAR}{serial}");
+        assert_eq!(codes(&scan(&parallel, &class)), ["D2"]);
+        let elsewhere = FileClass::from_path(Path::new("crates/geom/src/lib.rs"));
         assert!(
-            d.iter().any(|d| d.rule == Rule::D2FloatAccum),
-            "float += in a parallel module must flag: {d:?}"
+            scan(&parallel, &elsewhere).is_empty(),
+            "geom is no kernel crate"
         );
+        let in_test = format!("{PAR}#[cfg(test)]\nmod tests {{\n{serial}}}\n");
+        assert!(scan(&in_test, &class).is_empty(), "tests may accumulate");
     }
 
     #[test]
     fn d2_exempts_chunked_reduce_arguments() {
         let class = kernel_class();
-        let ok = "fn g(xs: &mut [f64]) { xs.par_iter_mut().for_each(|x| *x = 0.0); }\nfn f(xs: &[f64]) -> f64 {\n    chunked_reduce(xs.len(), 0, |lo, hi| {\n        let mut acc = 0.0;\n        for x in &xs[lo..hi] { acc += x; }\n        acc\n    })\n}\n";
-        let d = scan(ok, &class);
+        let ok = format!("{PAR}fn f(xs: &[f64]) -> f64 {{\n    chunked_reduce(xs.len(), 0, |lo, hi| {{\n        let mut acc = 0.0;\n        for x in &xs[lo..hi] {{ acc += x; }}\n        acc\n    }})\n}}\n");
+        let d = scan(&ok, &class);
         assert!(
-            !d.iter().any(|d| d.rule == Rule::D2FloatAccum),
+            d.is_empty(),
             "chunked_reduce args are the sanctioned pattern: {d:?}"
         );
     }
 
     #[test]
-    fn d3_flags_wallclock_outside_trace() {
+    fn suppression_needs_its_reason() {
         let class = kernel_class();
-        let bad = "fn f() { let t = Instant::now(); let _ = t; }\n";
-        assert_eq!(codes(&scan(bad, &class)), ["D3"]);
-        let trace = FileClass::from_path(Path::new("crates/trace/src/lib.rs"));
-        assert!(scan(bad, &trace).is_empty());
-        let bench_bin = FileClass::from_path(Path::new("crates/bench/src/bin/parallel.rs"));
-        assert!(scan(bad, &bench_bin).is_empty());
-    }
-
-    #[test]
-    fn suppression_without_reason_is_meta() {
-        let class = kernel_class();
-        let bad = "// LINT: allow(panic)\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let d = scan(bad, &class);
-        assert!(d.iter().any(|d| d.rule == Rule::Meta), "{d:?}");
-        assert!(d.iter().any(|d| d.rule == Rule::R1PanicFree), "{d:?}");
-        let unknown = "// LINT: allow(everything, because)\nfn f() {}\n";
-        let d = scan(unknown, &class);
-        assert!(d.iter().any(|d| d.rule == Rule::Meta), "{d:?}");
+        let body = "fn f(xs: &[f64]) -> f64 {\n    let mut acc = 0.0;\n    for x in xs { acc += x; }\n    acc\n}\n";
+        let allowed = format!("{PAR}// LINT: allow(float_accum, serial by construction)\n{body}");
+        assert!(scan(&allowed, &class).is_empty());
+        let reasonless = format!("{PAR}// LINT: allow(float_accum)\n{body}");
+        assert_eq!(codes(&scan(&reasonless, &class)), ["D2"]);
+        let empty = "// RELAXED:\nfn f(a: &AtomicU32) -> u32 { a.load(Ordering::Relaxed) }\n";
+        assert_eq!(codes(&scan(empty, &class)), ["P2"]);
     }
 
     #[test]
     fn coverage_breaks_at_blank_lines() {
         let class = kernel_class();
-        let src = "// LINT: allow(panic, covered block)\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n\nfn g(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let src = "// RELAXED: covered block\nfn f(a: &AtomicU32) -> u32 { a.load(Ordering::Relaxed) }\n\nfn g(a: &AtomicU32) -> u32 { a.load(Ordering::Relaxed) }\n";
         let d = scan(src, &class);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].line, 4);

@@ -1,7 +1,7 @@
 //! `mlgp-lint` CLI: scan `crates/*/src` and exit nonzero on violations.
 //!
 //! ```text
-//! mlgp-lint [--root DIR] [--list-rules]
+//! mlgp-lint [--root DIR]
 //! ```
 //!
 //! With no `--root`, the workspace root is found by walking up from the
@@ -25,15 +25,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--list-rules" => {
-                for rule in mlgp_lint::Rule::all() {
-                    println!("{:<4} {}", rule.code(), rule.describe());
-                }
-                return ExitCode::SUCCESS;
-            }
             "--help" | "-h" => {
-                println!("usage: mlgp-lint [--root DIR] [--list-rules]");
-                println!("scans crates/*/src for determinism & safety contract violations");
+                println!("usage: mlgp-lint [--root DIR]");
+                println!("scans crates/*/src for raw float accumulation beside parallel");
+                println!("kernels (D2) and unjustified Ordering::Relaxed (P2)");
                 println!("(rules and suppression syntax: DESIGN.md §11)");
                 return ExitCode::SUCCESS;
             }

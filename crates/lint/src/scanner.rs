@@ -2,7 +2,7 @@
 //!
 //! The rule engine must never fire on tokens inside string literals,
 //! char literals, or comments — and must *read* comments to find
-//! `SAFETY:` / `RELAXED:` / `allow(…)` annotations. This module
+//! `RELAXED:` / `allow(…)` annotations. This module
 //! splits a Rust source file into per-line `(code, comment)` pairs with a
 //! small state machine that understands:
 //!

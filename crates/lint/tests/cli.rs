@@ -3,8 +3,7 @@
 //!
 //! The fixtures under `tests/fixtures/{bad,good}` are miniature workspace
 //! trees (`crates/<name>/src/*.rs`) so path classification — kernel
-//! crates, wall-clock crates, test files — applies exactly as it does on
-//! the real tree.
+//! crates, test files — applies exactly as it does on the real tree.
 
 use mlgp_lint::{scan_workspace, Rule};
 use std::path::{Path, PathBuf};
@@ -16,6 +15,10 @@ fn fixtures(which: &str) -> PathBuf {
         .join(which)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed spawn fails the test"
+)]
 fn run_lint(root: &Path) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_mlgp-lint"))
         .arg("--root")
@@ -33,13 +36,8 @@ fn bad_fixtures_fail_with_file_line_diagnostics() {
     let (ok, stdout) = run_lint(&fixtures("bad"));
     assert!(!ok, "bad fixtures must fail the lint, got:\n{stdout}");
     let expect = [
-        ("crates/part/src/hash_iter.rs", "[D1]"),
         ("crates/part/src/float_accum.rs", "[D2]"),
-        ("crates/part/src/wall_clock.rs", "[D3]"),
-        ("crates/part/src/unsafe_raw.rs", "[P1]"),
         ("crates/part/src/relaxed.rs", "[P2]"),
-        ("crates/part/src/panics.rs", "[R1]"),
-        ("crates/part/src/meta_bad.rs", "[META]"),
     ];
     for (file, rule) in expect {
         let hit = stdout.lines().any(|l| l.contains(file) && l.contains(rule));
@@ -69,22 +67,10 @@ fn bad_fixture_lines_are_precise() {
             .iter()
             .any(|d| d.file.ends_with(file) && d.rule == rule && d.line == line)
     };
-    // The D1 fixture iterates its map on line 10.
-    assert!(has("hash_iter.rs", Rule::D1HashIter, 10), "{diags:?}");
     // The D2 fixture's raw `acc += *x` sits on line 11.
     assert!(has("float_accum.rs", Rule::D2FloatAccum, 11), "{diags:?}");
-    // The D3 fixture reads Instant::now() on line 5.
-    assert!(has("wall_clock.rs", Rule::D3WallClock, 5), "{diags:?}");
-    // The P1 fixture's unsafe block is line 3.
-    assert!(has("unsafe_raw.rs", Rule::P1UnsafeSafety, 3), "{diags:?}");
     // The P2 fixture's Relaxed fetch_add is line 5.
     assert!(has("relaxed.rs", Rule::P2RelaxedJustify, 5), "{diags:?}");
-    // The R1 fixture panics on lines 3, 7 and 12.
-    assert!(has("panics.rs", Rule::R1PanicFree, 3), "{diags:?}");
-    assert!(has("panics.rs", Rule::R1PanicFree, 7), "{diags:?}");
-    assert!(has("panics.rs", Rule::R1PanicFree, 12), "{diags:?}");
-    // The META fixture's reasonless allow is line 3.
-    assert!(has("meta_bad.rs", Rule::Meta, 3), "{diags:?}");
 }
 
 #[test]

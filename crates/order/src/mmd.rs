@@ -202,6 +202,10 @@ impl<'g> Mmd<'g> {
         // --- Supernode detection among Lp -------------------------------
         // Bucket entries: (representative, element list, node list).
         type Bucket = Vec<(u32, Vec<u32>, Vec<u32>)>;
+        #[expect(
+            clippy::disallowed_types,
+            reason = "lookup only: buckets are probed by hash, never iterated"
+        )]
         let mut buckets: std::collections::HashMap<u64, Bucket> = std::collections::HashMap::new();
         for &u in &lp {
             let (elist, nlist) = self.canonical_lists(u);
@@ -246,6 +250,10 @@ impl<'g> Mmd<'g> {
         }
         let lp_stamp = self.stamp;
         // Weighted |Le \ Lp| per foreign element, computed on first touch.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "lookup only: a memo of per-element weights, never iterated"
+        )]
         let mut wle: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
         for &u in &lp {
             let mut deg = wlp - self.size[u as usize] as u64;

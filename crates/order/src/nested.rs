@@ -105,16 +105,7 @@ pub fn nested_dissection_traced(g: &CsrGraph, cfg: &NdConfig, trace: &Trace) -> 
         debug_assert_eq!(seq.len(), g.n());
         Permutation::from_inverse(seq)
     };
-    if cfg.threads == 0 {
-        run(&cfg)
-    } else {
-        // LINT: allow(panic, pool construction fails only on thread-spawn resource exhaustion; no recovery is possible)
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(cfg.threads)
-            .build()
-            .expect("advisory thread pool")
-            .install(|| run(&cfg))
-    }
+    mlgp_linalg::with_fanout(cfg.threads, || run(&cfg))
 }
 
 /// Multilevel nested dissection with default settings.

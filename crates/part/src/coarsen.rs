@@ -28,8 +28,11 @@ impl Hierarchy {
     }
 
     /// The coarsest graph.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "hierarchy invariant: graphs always holds at least the input level"
+    )]
     pub fn coarsest(&self) -> &CsrGraph {
-        // LINT: allow(panic, hierarchy invariant — graphs always holds at least the input level)
         self.graphs.last().unwrap()
     }
 
@@ -68,7 +71,10 @@ pub fn coarsen_traced<R: Rng>(
     let mut cmaps: Vec<Vec<Vid>> = Vec::new();
     let mut cewgt = vec![0; g.n()];
     loop {
-        // LINT: allow(panic, graphs is seeded with the input level and only grows)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "graphs is seeded with the input level and only grows"
+        )]
         let cur = graphs.last().unwrap();
         let n = cur.n();
         if n <= cfg.coarsen_to.max(2) || cur.m() == 0 {

@@ -147,8 +147,12 @@ fn best_of(
             .map(|t| Some(run_trial(t)))
             .reduce(|| None, pick)
     });
-    // LINT: allow(panic, trials is clamped to max(1) above, so the reduction always yields Some)
-    best.expect("at least one trial ran").part
+    #[expect(
+        clippy::expect_used,
+        reason = "trials is clamped to max(1) above, so the reduction always yields Some"
+    )]
+    let best = best.expect("at least one trial ran");
+    best.part
 }
 
 fn part_weights(g: &CsrGraph, part: &[u8]) -> [Wgt; 2] {

@@ -57,7 +57,11 @@ impl Default for MsbConfig {
 /// Compute the Fiedler vector of `g` with the multilevel algorithm
 /// (coarsest dense solve + per-level interpolation and RQI refinement).
 pub fn msb_fiedler(g: &CsrGraph, cfg: &MsbConfig) -> Vec<f64> {
-    assert!(g.n() >= 2);
+    // Recursive k-way hands down subgraphs of any size; like a coarsest
+    // graph below 2 vertices, they have no Fiedler vector to find.
+    if g.n() < 2 {
+        return vec![0.0; g.n()];
+    }
     // RM coarsening, reusing the partitioner's coarsening machinery.
     let ml = MlConfig {
         matching: MatchingScheme::Random,
@@ -206,6 +210,18 @@ mod tests {
         let part = msb_kl_bisect_targets(&g, &cfg, [total / 2, total - total / 2]);
         let kl_cut = mlgp_part::edge_cut_bisection(&g, &part);
         assert!(kl_cut <= msb_cut, "KL {kl_cut} vs MSB {msb_cut}");
+    }
+
+    #[test]
+    fn msb_handles_graphs_below_two_vertices() {
+        let one = CsrGraph::from_adjacency(vec![0, 0], vec![]);
+        assert_eq!(msb_fiedler(&one, &MsbConfig::default()), [0.0]);
+        // k > n: the recursion reaches 1-vertex subgraphs.
+        let path = grid2d(3, 1);
+        for k in [4, 5, 8] {
+            let part = msb_kway(&path, k, &MsbConfig::default());
+            assert!(part.iter().all(|&p| (p as usize) < k), "k={k}: {part:?}");
+        }
     }
 
     #[test]

@@ -27,6 +27,11 @@
 //! `--stats` flag) and [`Trace::to_jsonl`] (one JSON object per line, the
 //! `--trace FILE` flag; schema documented in DESIGN.md §7).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the observability layer owns the wall clock: every timing goes through Trace::start/stop"
+)]
+
 pub mod json;
 
 use std::collections::BTreeMap;
@@ -320,8 +325,8 @@ impl Trace {
     /// Start a timer; returns a token that is `None` when disabled (so no
     /// `Instant::now()` is taken). Stop with [`Trace::stop`].
     ///
-    /// Algorithm crates read the clock only through this pair (lint rule
-    /// `D3`), so a timing can flow into telemetry but never into a
+    /// Algorithm crates read the clock only through this pair (rule `D3`,
+    /// DESIGN.md §11), so a timing can flow into telemetry but never into a
     /// partitioning decision.
     #[inline]
     pub fn start(&self) -> Timer {

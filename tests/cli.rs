@@ -139,6 +139,43 @@ fn non_positive_chaco_weights_are_errors_not_panics() {
 }
 
 #[test]
+fn non_positive_or_non_finite_scales_are_rejected() {
+    let out_file =
+        std::env::temp_dir().join(format!("mlgp-cli-scale-{}.graph", std::process::id()));
+    let out_file = out_file.to_str().unwrap();
+    for bad in ["-1", "0", "nan", "inf", "x"] {
+        for args in [
+            vec!["gen", "4ELT", out_file, "--scale", bad],
+            vec!["partition", &format!("gen:4ELT@{bad}"), "2"],
+        ] {
+            let out = mlgp().args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains("bad scale"), "{args:?}: {stderr}");
+        }
+    }
+    assert!(!std::path::Path::new(out_file).exists());
+}
+
+#[test]
+fn msb_partitions_graphs_smaller_than_k() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-p3-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("p3.graph");
+    std::fs::write(&path, "3 2\n2\n1 3\n2\n").unwrap();
+    for k in ["4", "5", "8"] {
+        let out = mlgp()
+            .args(["partition", path.to_str().unwrap(), k, "--method", "msb"])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "k={k}: {stderr}");
+        assert!(!stderr.contains("panicked"), "k={k}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn help_prints_usage() {
     let out = mlgp().args(["--help"]).output().unwrap();
     assert!(out.status.success());
