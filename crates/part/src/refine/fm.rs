@@ -20,17 +20,21 @@ pub struct BalanceTargets {
     /// Ideal weight per side.
     pub target: [Wgt; 2],
     /// Hard upper bound per side (`⌈imbalance × target⌉`, at least
-    /// `target + 1` so unit-weight graphs always have slack).
+    /// `target + 1` so unit-weight graphs always have slack, but below the
+    /// total weight so an empty opposite side never counts as balanced).
     pub ub: [Wgt; 2],
 }
 
 impl BalanceTargets {
     /// Build targets from ideal weights and a relative imbalance factor.
     pub fn new(target: [Wgt; 2], imbalance: f64) -> Self {
-        let ub = [
-            ((target[0] as f64 * imbalance).ceil() as Wgt).max(target[0] + 1),
-            ((target[1] as f64 * imbalance).ceil() as Wgt).max(target[1] + 1),
-        ];
+        let total = target[0] + target[1];
+        let ub = target.map(|t| {
+            ((t as f64 * imbalance).ceil() as Wgt)
+                .max(t + 1)
+                .min(total - 1)
+                .max(t)
+        });
         Self { target, ub }
     }
 
@@ -282,6 +286,19 @@ mod tests {
             part.swap(i, j);
         }
         part
+    }
+
+    #[test]
+    fn bounds_never_admit_an_empty_side() {
+        // A 3-vertex path: the slack of `target + 1` would let one side
+        // hold all three vertices.
+        let bt = BalanceTargets::even(3, 1.03);
+        assert_eq!(bt.ub, [2, 2]);
+        assert!(!bt.balanced([3, 0]) && !bt.balanced([0, 3]));
+        assert!(bt.balanced([1, 2]) && bt.balanced([2, 1]));
+        // A bound never drops below its own target.
+        assert_eq!(BalanceTargets::new([0, 1], 1.03).ub, [0, 1]);
+        assert_eq!(BalanceTargets::new([1, 4], 1.5).ub, [2, 4]);
     }
 
     #[test]

@@ -175,6 +175,64 @@ fn msb_partitions_graphs_smaller_than_k() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `mlgp partition <graph> <k> --out <out>` plus `extra` args and
+/// returns the written labels.
+fn partition_labels(graph: &str, k: &str, out: &std::path::Path, extra: &[&str]) -> String {
+    let result = mlgp()
+        .args(["partition", graph, k, "--out", out.to_str().unwrap()])
+        .args(extra)
+        .output()
+        .unwrap();
+    assert!(
+        result.status.success(),
+        "{}",
+        String::from_utf8_lossy(&result.stderr)
+    );
+    std::fs::read_to_string(out).unwrap()
+}
+
+#[test]
+fn small_paths_get_no_empty_parts() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-paths-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (p3, p5) = (dir.join("p3.graph"), dir.join("p5.graph"));
+    std::fs::write(&p3, "3 2\n2\n1 3\n2\n").unwrap();
+    std::fs::write(&p5, "5 4\n2\n1 3\n2 4\n3 5\n4\n").unwrap();
+    let (p3, p5) = (p3.to_str().unwrap(), p5.to_str().unwrap());
+    let out = dir.join("labels.part");
+    let cases = [
+        (p3, "2", "ml", 2),
+        (p3, "4", "ml", 3),
+        (p5, "3", "ml", 3),
+        (p5, "3", "msb", 3),
+        (p5, "3", "msb-kl", 3),
+        (p5, "3", "chaco", 3),
+    ];
+    for (graph, k, method, parts) in cases {
+        let labels = partition_labels(graph, k, &out, &["--method", method]);
+        let distinct: std::collections::BTreeSet<&str> = labels.lines().collect();
+        assert_eq!(distinct.len(), parts, "{graph} k={k} {method}: {labels}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn partition_output_is_identical_across_thread_counts() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = "gen:4ELT@0.2";
+    let out = dir.join("labels.part");
+    let reference = partition_labels(graph, "8", &out, &["--threads", "1"]);
+    for threads in ["2", "8"] {
+        let labels = partition_labels(graph, "8", &out, &["--threads", threads]);
+        assert!(
+            labels == reference,
+            "--threads {threads} differs from --threads 1"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn help_prints_usage() {
     let out = mlgp().args(["--help"]).output().unwrap();
