@@ -9,6 +9,7 @@
 use mlgp_bench::{group_thousands, timed, BenchOpts};
 use mlgp_graph::generators::table_rows;
 use mlgp_part::{fragmentation, kway_partition, kway_refine_greedy, KwayRefineOptions, MlConfig};
+use mlgp_trace::Trace;
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -30,8 +31,9 @@ fn main() {
         let base = kway_partition(&g, k, &MlConfig::default());
         let frag_before = fragmentation(&g, &base.part, k);
         let mut part = base.part.clone();
-        let (refined, secs) =
-            timed(|| kway_refine_greedy(&g, &mut part, k, &KwayRefineOptions::default()));
+        let off = Trace::disabled();
+        let ((refined, _), secs) =
+            timed(|| kway_refine_greedy(&g, &mut part, k, &KwayRefineOptions::default(), &off));
         let frag_after = fragmentation(&g, &part, k);
         let gain = 100.0 * (base.edge_cut - refined) as f64 / base.edge_cut.max(1) as f64;
         tot[0] += base.edge_cut as f64;

@@ -30,6 +30,7 @@ use mlgp_part::{
     coarsen, compute_matching_threads, contract_threads, edge_cut_kway, kway_partition_refined,
     metrics, part_weights, MatchingScheme, MlConfig,
 };
+use mlgp_trace::Trace;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SEED: u64 = 4242;
@@ -102,7 +103,7 @@ fn main() {
                 }
                 "coarsen" => timed(|| {
                     let cfg = MlConfig { threads: nt, ..cfg };
-                    let h = coarsen(&g, &cfg, &mut seeded(SEED));
+                    let h = coarsen(&g, &cfg, &mut seeded(SEED), &Trace::disabled());
                     fingerprint(
                         h.graphs
                             .iter()
@@ -120,7 +121,7 @@ fn main() {
                 // concurrent recursion branches, so they do not show scaling.
                 _ => timed(|| {
                     let cfg = MlConfig { threads: nt, ..cfg };
-                    let r = kway_partition_refined(&g, 8, &cfg);
+                    let r = kway_partition_refined(&g, 8, &cfg, &Trace::disabled());
                     fingerprint(r.part.iter().map(|&x| x as u64).chain([r.edge_cut as u64]))
                 }),
             });
@@ -177,11 +178,13 @@ fn main() {
         for &nt in &THREADS {
             let (fp, secs) = match kernel {
                 "dot" => timed(|| {
-                    let mut acc = 0u64;
-                    for _ in 0..dot_reps {
-                        acc ^= vecops::dot_threads(&x, &y, nt).to_bits();
-                    }
-                    fingerprint([acc, vecops::norm_threads(&x, nt).to_bits()].into_iter())
+                    vecops::with_fanout(nt, || {
+                        let mut acc = 0u64;
+                        for _ in 0..dot_reps {
+                            acc ^= vecops::dot(&x, &y).to_bits();
+                        }
+                        fingerprint([acc, vecops::norm(&x).to_bits()].into_iter())
+                    })
                 }),
                 "spmv" => timed(|| {
                     let lap = Laplacian::with_threads(&g, nt);

@@ -23,8 +23,8 @@ pub trait SymOp {
 /// fan-out. The [`Laplacian::with_threads`] knob caps the shard count
 /// (`0` = ambient rayon fan-out); every apply is tallied in the
 /// `spmv_calls` / `spmv_rows` telemetry counters (see
-/// [`Laplacian::spmv_calls`]) which the traced solver wrappers export as
-/// `spmv_*` trace counters.
+/// [`Laplacian::spmv_calls`]) which `fiedler_vector` exports as `spmv_*`
+/// trace counters.
 #[derive(Debug)]
 pub struct Laplacian<'a> {
     g: &'a CsrGraph,
@@ -66,11 +66,6 @@ impl<'a> Laplacian<'a> {
         self.g
     }
 
-    /// The configured shard fan-out (0 = ambient).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// SpMV calls performed so far ([`SymOp::apply`] invocations).
     pub fn spmv_calls(&self) -> u64 {
         // RELAXED: statistic only — never feeds partitioning decisions.
@@ -98,24 +93,26 @@ impl<'a> Laplacian<'a> {
     /// deterministic chunked-pairwise tree (`vecops::chunked_reduce`), so
     /// the value is identical at every thread count.
     pub fn rayleigh(&self, x: &[f64]) -> f64 {
-        let xx = crate::vecops::dot_threads(x, x, self.threads);
-        if xx == 0.0 {
-            return 0.0;
-        }
-        let num = crate::vecops::chunked_reduce(self.g.n(), self.threads, |lo, hi| {
-            let mut acc = 0.0;
-            for v in lo as Vid..hi as Vid {
-                let xv = x[v as usize];
-                for (u, w) in self.g.adj(v) {
-                    if u > v {
-                        let d = xv - x[u as usize];
-                        acc += w as f64 * d * d;
+        crate::vecops::with_fanout(self.threads, || {
+            let xx = crate::vecops::dot(x, x);
+            if xx == 0.0 {
+                return 0.0;
+            }
+            let num = crate::vecops::chunked_reduce(self.g.n(), |lo, hi| {
+                let mut acc = 0.0;
+                for v in lo as Vid..hi as Vid {
+                    let xv = x[v as usize];
+                    for (u, w) in self.g.adj(v) {
+                        if u > v {
+                            let d = xv - x[u as usize];
+                            acc += w as f64 * d * d;
+                        }
                     }
                 }
-            }
-            acc
-        });
-        num / xx
+                acc
+            });
+            num / xx
+        })
     }
 }
 

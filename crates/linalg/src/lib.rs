@@ -10,7 +10,8 @@
 //! ```
 //! // lambda_2 of the path P_n is 2(1 - cos(pi/n)).
 //! let g = mlgp_graph::generators::grid2d(16, 1);
-//! let (l2, v) = mlgp_linalg::fiedler_vector(&g, 7);
+//! let trace = mlgp_trace::Trace::disabled();
+//! let (l2, v) = mlgp_linalg::fiedler_vector(&g, 7, &trace);
 //! let expect = 2.0 * (1.0 - (std::f64::consts::PI / 16.0).cos());
 //! assert!((l2 - expect).abs() < 1e-6);
 //! assert_eq!(v.len(), 16);
@@ -33,51 +34,18 @@ pub use vecops::{chunked_reduce, with_fanout, REDUCTION_CHUNK};
 use mlgp_graph::CsrGraph;
 use mlgp_trace::{Event, Trace};
 
-/// [`lanczos_fiedler`] recording an `eigen` event (solver `"lanczos"`,
-/// matvec count, final residual) and an `eigen_matvec` counter on `trace`.
-pub fn lanczos_fiedler_traced<O: SymOp>(
-    op: &O,
-    opts: &LanczosOptions,
-    trace: &Trace,
-) -> LanczosResult {
-    let r = lanczos_fiedler(op, opts);
-    trace.record(|| Event::Eigen {
-        solver: "lanczos",
-        n: op.dim(),
-        iters: r.matvecs,
-        residual: r.residual,
-    });
-    trace.count("eigen_matvec", r.matvecs as u64);
-    r
-}
-
 /// Size threshold below which the dense Jacobi path is used for Fiedler
 /// vectors; above it, Lanczos.
 pub const DENSE_FIEDLER_LIMIT: usize = 320;
 
 /// Compute `(λ₂, fiedler vector)` of a connected graph, dispatching between
-/// the dense and iterative solvers by size.
-pub fn fiedler_vector(g: &CsrGraph, seed: u64) -> (f64, Vec<f64>) {
-    fiedler_vector_traced(g, seed, &Trace::disabled())
-}
-
-/// [`fiedler_vector`] recording an `eigen` event per solve (the dense path
-/// reports solver `"dense-jacobi"` with zero iterations and residual — it
-/// is direct to machine precision).
-pub fn fiedler_vector_traced(g: &CsrGraph, seed: u64, trace: &Trace) -> (f64, Vec<f64>) {
-    fiedler_vector_threads_traced(g, seed, 0, trace)
-}
-
-/// [`fiedler_vector_traced`] with an explicit worker-thread fan-out for
-/// the Lanczos path (`0` = ambient rayon fan-out). Bit-identical results
-/// at every value; the Lanczos path additionally records `spmv_calls` /
-/// `spmv_rows` counters from the Laplacian's SpMV tally.
-pub fn fiedler_vector_threads_traced(
-    g: &CsrGraph,
-    seed: u64,
-    threads: usize,
-    trace: &Trace,
-) -> (f64, Vec<f64>) {
+/// the dense and iterative solvers by size. Records an `eigen` event per
+/// solve on `trace` (the dense path reports solver `"dense-jacobi"` with
+/// zero iterations and residual — it is direct to machine precision); the
+/// Lanczos path also counts `eigen_matvec`, `spmv_calls` and `spmv_rows`.
+/// The Lanczos kernels follow the ambient fan-out and the result is
+/// bit-identical at every fan-out.
+pub fn fiedler_vector(g: &CsrGraph, seed: u64, trace: &Trace) -> (f64, Vec<f64>) {
     assert!(g.n() >= 2);
     if g.n() <= DENSE_FIEDLER_LIMIT {
         let (lambda, vector) = fiedler_dense(g);
@@ -89,16 +57,21 @@ pub fn fiedler_vector_threads_traced(
         });
         (lambda, vector)
     } else {
-        let lap = Laplacian::with_threads(g, threads);
-        let r = lanczos_fiedler_traced(
+        let lap = Laplacian::new(g);
+        let r = lanczos_fiedler(
             &lap,
             &LanczosOptions {
                 seed,
-                threads,
                 ..LanczosOptions::default()
             },
-            trace,
         );
+        trace.record(|| Event::Eigen {
+            solver: "lanczos",
+            n: g.n(),
+            iters: r.matvecs,
+            residual: r.residual,
+        });
+        trace.count("eigen_matvec", r.matvecs as u64);
         trace.count("spmv_calls", lap.spmv_calls());
         trace.count("spmv_rows", lap.spmv_rows());
         (r.lambda, r.vector)
@@ -115,8 +88,9 @@ mod tests {
         // 18x18 = 324 > limit forces Lanczos; 17x17 = 289 uses dense.
         let small = grid2d(17, 17);
         let large = grid2d(18, 18);
-        let (l_small, _) = fiedler_vector(&small, 1);
-        let (l_large, _) = fiedler_vector(&large, 1);
+        let off = Trace::disabled();
+        let (l_small, _) = fiedler_vector(&small, 1, &off);
+        let (l_large, _) = fiedler_vector(&large, 1, &off);
         // λ₂ of an n×n grid is 2(1 − cos(π/n)).
         let expect = |n: f64| 2.0 * (1.0 - (std::f64::consts::PI / n).cos());
         assert!((l_small - expect(17.0)).abs() < 1e-5, "{l_small}");

@@ -91,9 +91,6 @@ fn rqi_refine_body(lap: &Laplacian<'_>, x0: &[f64], opts: &RqiOptions) -> RqiRes
                 max_iters: opts.inner_iters,
                 tol: 1e-10,
                 deflate: true,
-                // The outer with_fanout cap is already installed; inner
-                // solves follow ambient.
-                threads: 0,
             },
         );
         let mut y = solve.x;

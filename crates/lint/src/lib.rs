@@ -555,7 +555,7 @@ mod tests {
     #[test]
     fn d2_exempts_chunked_reduce_arguments() {
         let class = kernel_class();
-        let ok = format!("{PAR}fn f(xs: &[f64]) -> f64 {{\n    chunked_reduce(xs.len(), 0, |lo, hi| {{\n        let mut acc = 0.0;\n        for x in &xs[lo..hi] {{ acc += x; }}\n        acc\n    }})\n}}\n");
+        let ok = format!("{PAR}fn f(xs: &[f64]) -> f64 {{\n    chunked_reduce(xs.len(), |lo, hi| {{\n        let mut acc = 0.0;\n        for x in &xs[lo..hi] {{ acc += x; }}\n        acc\n    }})\n}}\n");
         let d = scan(&ok, &class);
         assert!(
             d.is_empty(),

@@ -2,7 +2,7 @@
 //! graph, uncoarsen with refinement. Phase timings go to the trace in the
 //! paper's vocabulary (CTime; UTime = ITime + RTime + PTime).
 
-use crate::coarsen::{coarsen_traced, Hierarchy};
+use crate::coarsen::{coarsen, Hierarchy};
 use crate::config::MlConfig;
 use crate::initpart::initial_partition_traced;
 use crate::refine::fm::BalanceTargets;
@@ -133,7 +133,7 @@ pub fn bisect_targets(
 
     // Coarsening phase.
     let t = trace.start();
-    let h = coarsen_traced(g, cfg, &mut rng, trace);
+    let h = coarsen(g, cfg, &mut rng, trace);
     trace.stop(t, SPAN_COARSEN);
     record_coarsen_levels(&h, cfg, trace, branch);
 

@@ -52,21 +52,11 @@ impl Hierarchy {
 }
 
 /// Coarsen `g` according to `cfg` (matching scheme, size target, stagnation
-/// guard). The RNG drives the random vertex visit orders.
-pub fn coarsen<R: Rng>(g: &CsrGraph, cfg: &MlConfig, rng: &mut R) -> Hierarchy {
-    coarsen_traced(g, cfg, rng, &Trace::disabled())
-}
-
-/// [`coarsen`] with kernel telemetry: records per-level parallel-kernel
-/// counters (`par_matching_rounds`, `par_matching_fallbacks`, per-shard
-/// edge-scan work) into `trace` when it is enabled. The hierarchy itself
-/// is identical to [`coarsen`]'s — tracing never perturbs the result.
-pub fn coarsen_traced<R: Rng>(
-    g: &CsrGraph,
-    cfg: &MlConfig,
-    rng: &mut R,
-    trace: &Trace,
-) -> Hierarchy {
+/// guard). The RNG drives the random vertex visit orders. Records
+/// per-level parallel-kernel counters (`par_matching_rounds`,
+/// `par_matching_fallbacks`, per-shard edge-scan work) into `trace` when it
+/// is enabled; tracing never perturbs the hierarchy.
+pub fn coarsen<R: Rng>(g: &CsrGraph, cfg: &MlConfig, rng: &mut R, trace: &Trace) -> Hierarchy {
     let mut graphs = vec![g.clone()];
     let mut cmaps: Vec<Vec<Vid>> = Vec::new();
     let mut cewgt = vec![0; g.n()];
@@ -114,19 +104,25 @@ mod tests {
     use mlgp_graph::rng::seeded;
     use mlgp_graph::GraphBuilder;
 
-    fn cfg_with(matching: MatchingScheme, coarsen_to: usize) -> MlConfig {
-        MlConfig {
+    fn coarsen_with(
+        g: &CsrGraph,
+        matching: MatchingScheme,
+        coarsen_to: usize,
+        seed: u64,
+    ) -> Hierarchy {
+        let cfg = MlConfig {
             matching,
             coarsen_to,
             ..MlConfig::default()
-        }
+        };
+        coarsen(g, &cfg, &mut seeded(seed), &Trace::disabled())
     }
 
     #[test]
     fn coarsens_grid_below_threshold() {
         let g = grid2d(32, 32);
         for scheme in MatchingScheme::all() {
-            let h = coarsen(&g, &cfg_with(scheme, 100), &mut seeded(1));
+            let h = coarsen_with(&g, scheme, 100, 1);
             assert!(h.coarsest().n() <= 100 || h.levels() == 1, "{scheme:?}");
             assert!(h.levels() >= 3, "{scheme:?} produced too few levels");
             // Vertex weight is conserved at every level.
@@ -143,7 +139,7 @@ mod tests {
     #[test]
     fn projection_round_trip() {
         let g = tri_mesh2d(16, 16, 2);
-        let h = coarsen(&g, &cfg_with(MatchingScheme::HeavyEdge, 60), &mut seeded(2));
+        let h = coarsen_with(&g, MatchingScheme::HeavyEdge, 60, 2);
         // All-zeros and alternating partitions project consistently.
         let nc = h.coarsest().n();
         let cpart: Vec<u8> = (0..nc).map(|i| (i % 2) as u8).collect();
@@ -169,18 +165,14 @@ mod tests {
             b.add_edge(0, i);
         }
         let g = b.build();
-        let h = coarsen(&g, &cfg_with(MatchingScheme::Random, 10), &mut seeded(3));
+        let h = coarsen_with(&g, MatchingScheme::Random, 10, 3);
         assert!(h.levels() < 20, "guard failed: {} levels", h.levels());
     }
 
     #[test]
     fn small_graph_is_left_alone() {
         let g = grid2d(5, 5);
-        let h = coarsen(
-            &g,
-            &cfg_with(MatchingScheme::HeavyEdge, 100),
-            &mut seeded(4),
-        );
+        let h = coarsen_with(&g, MatchingScheme::HeavyEdge, 100, 4);
         assert_eq!(h.levels(), 1);
         assert!(h.cmaps.is_empty());
     }
@@ -188,11 +180,7 @@ mod tests {
     #[test]
     fn powerlaw_graph_coarsens() {
         let g = powerlaw(3000, 3, 7);
-        let h = coarsen(
-            &g,
-            &cfg_with(MatchingScheme::HeavyEdge, 100),
-            &mut seeded(5),
-        );
+        let h = coarsen_with(&g, MatchingScheme::HeavyEdge, 100, 5);
         assert!(h.coarsest().n() < 3000);
         for lvl in &h.graphs {
             assert!(lvl.validate().is_ok());
@@ -213,8 +201,8 @@ mod tests {
             }
         }
         let g = b.build();
-        let hem = coarsen(&g, &cfg_with(MatchingScheme::HeavyEdge, 50), &mut seeded(6));
-        let lem = coarsen(&g, &cfg_with(MatchingScheme::LightEdge, 50), &mut seeded(6));
+        let hem = coarsen_with(&g, MatchingScheme::HeavyEdge, 50, 6);
+        let lem = coarsen_with(&g, MatchingScheme::LightEdge, 50, 6);
         assert!(
             hem.graphs[1].total_adjwgt() < lem.graphs[1].total_adjwgt(),
             "HEM {} vs LEM {}",

@@ -30,21 +30,11 @@ use std::collections::VecDeque;
 /// Compute an initial bisection of the (coarse) graph.
 ///
 /// Part 0 is grown to roughly `bt.target[0]` vertex weight. Returns the 0/1
-/// partition vector.
-pub fn initial_partition<R: Rng>(
-    g: &CsrGraph,
-    bt: &BalanceTargets,
-    scheme: InitialPartitioning,
-    trials: usize,
-    rng: &mut R,
-) -> Vec<u8> {
-    initial_partition_traced(g, bt, scheme, trials, rng, 0, &Trace::disabled())
-}
-
-/// [`initial_partition`] with a worker-thread knob (`0` = ambient rayon
-/// fan-out; purely a speed knob, results are bit-identical at every value)
-/// and telemetry: each growing trial bumps the `init_trial` counter and
-/// the spectral scheme records an `eigen` event per Fiedler solve.
+/// partition vector. `threads` is the trial and solver fan-out (`0` =
+/// ambient rayon fan-out; purely a speed knob, results are bit-identical at
+/// every value). Each growing trial bumps the `init_trial` counter on
+/// `trace` and the spectral scheme records an `eigen` event per Fiedler
+/// solve.
 pub fn initial_partition_traced<R: Rng>(
     g: &CsrGraph,
     bt: &BalanceTargets,
@@ -263,13 +253,15 @@ fn grow_greedy(g: &CsrGraph, bt: &BalanceTargets, start: Vid) -> Vec<u8> {
 
 /// Spectral bisection: split at the weighted median of the Fiedler vector.
 fn spectral_split(g: &CsrGraph, bt: &BalanceTargets, threads: usize, trace: &Trace) -> Vec<u8> {
-    let (_, fiedler) = mlgp_linalg::fiedler_vector_threads_traced(g, 0x5bec, threads, trace);
+    let (_, fiedler) =
+        mlgp_linalg::with_fanout(threads, || mlgp_linalg::fiedler_vector(g, 0x5bec, trace));
     split_by_values(g, &fiedler, bt)
 }
 
 /// Assign the vertices with smallest `values` to part 0 until its target
-/// weight is met. Shared by spectral initial partitioning and the spectral
-/// baselines in `mlgp-spectral`.
+/// weight is met. Part 0 takes at least one vertex and, when `n ≥ 2`, part 1
+/// keeps at least one. Shared by spectral initial partitioning and the
+/// spectral baselines in `mlgp-spectral`.
 pub fn split_by_values(g: &CsrGraph, values: &[f64], bt: &BalanceTargets) -> Vec<u8> {
     let n = g.n();
     assert_eq!(values.len(), n);
@@ -281,8 +273,8 @@ pub fn split_by_values(g: &CsrGraph, values: &[f64], bt: &BalanceTargets) -> Vec
     });
     let mut part = vec![1u8; n];
     let mut w0 = 0;
-    for &v in &order {
-        if w0 >= bt.target[0] {
+    for (i, &v) in order.iter().enumerate().take(n.max(2) - 1) {
+        if i > 0 && w0 >= bt.target[0] {
             break;
         }
         part[v as usize] = 0;
@@ -298,10 +290,21 @@ mod tests {
     use mlgp_graph::generators::{grid2d, tri_mesh2d};
     use mlgp_graph::rng::seeded;
 
+    /// Initial partition at the ambient fan-out, untraced.
+    fn init<R: Rng>(
+        g: &CsrGraph,
+        bt: &BalanceTargets,
+        scheme: InitialPartitioning,
+        trials: usize,
+        rng: &mut R,
+    ) -> Vec<u8> {
+        initial_partition_traced(g, bt, scheme, trials, rng, 0, &Trace::disabled())
+    }
+
     fn check_scheme(g: &CsrGraph, scheme: InitialPartitioning) -> (Wgt, [Wgt; 2]) {
         let bt = BalanceTargets::even(g.total_vwgt(), 1.05);
         let mut rng = seeded(42);
-        let part = initial_partition(g, &bt, scheme, scheme.default_trials(), &mut rng);
+        let part = init(g, &bt, scheme, scheme.default_trials(), &mut rng);
         let cut = edge_cut_bisection(g, &part);
         let pw = part_weights(g, &part);
         assert!(cut > 0, "{scheme:?}: zero cut on connected graph");
@@ -334,9 +337,9 @@ mod tests {
         let mut total = [0 as Wgt; 2];
         for seed in 0..8 {
             let mut rng = seeded(seed);
-            let ggp = initial_partition(&g, &bt, InitialPartitioning::GraphGrowing, 10, &mut rng);
+            let ggp = init(&g, &bt, InitialPartitioning::GraphGrowing, 10, &mut rng);
             let mut rng = seeded(seed);
-            let gggp = initial_partition(
+            let gggp = init(
                 &g,
                 &bt,
                 InitialPartitioning::GreedyGraphGrowing,
@@ -370,7 +373,7 @@ mod tests {
         let bt = BalanceTargets::new([25, 75], 1.05);
         let mut rng = seeded(7);
         for scheme in InitialPartitioning::all() {
-            let part = initial_partition(&g, &bt, scheme, scheme.default_trials(), &mut rng);
+            let part = init(&g, &bt, scheme, scheme.default_trials(), &mut rng);
             let pw = part_weights(&g, &part);
             assert!(
                 (25..=27).contains(&pw[0]),
@@ -397,7 +400,7 @@ mod tests {
             (InitialPartitioning::Spectral, 1),
         ] {
             let mut rng = seeded(0xfeed);
-            let _ = initial_partition(&g, &bt, scheme, trials, &mut rng);
+            let _ = init(&g, &bt, scheme, trials, &mut rng);
             draws.push(rng.next_u64());
         }
         assert!(
@@ -436,7 +439,7 @@ mod tests {
         let bt = BalanceTargets::even(g.total_vwgt(), 1.05);
         let cut_of = |trials: usize| {
             let mut rng = seeded(99);
-            let p = initial_partition(
+            let p = init(
                 &g,
                 &bt,
                 InitialPartitioning::GreedyGraphGrowing,
@@ -449,12 +452,27 @@ mod tests {
     }
 
     #[test]
+    fn split_by_values_never_empties_a_side() {
+        // The light vertex comes first and leaves side 0 short of its
+        // target; taking the heavy one too would empty side 1.
+        let mut b = mlgp_graph::GraphBuilder::new(2);
+        b.set_vertex_weights(vec![100, 1]);
+        b.add_edge(0, 1);
+        let g = b.build();
+        let bt = BalanceTargets::even(g.total_vwgt(), 1.03);
+        assert_eq!(split_by_values(&g, &[1.0, 0.0], &bt), vec![1, 0]);
+        // A zero target still puts one vertex on side 0.
+        let bt = BalanceTargets::new([0, 101], 1.03);
+        assert_eq!(split_by_values(&g, &[1.0, 0.0], &bt), vec![1, 0]);
+    }
+
+    #[test]
     fn tiny_graphs() {
         let g = grid2d(2, 1);
         let bt = BalanceTargets::even(2, 1.0);
         let mut rng = seeded(1);
         for scheme in InitialPartitioning::all() {
-            let part = initial_partition(&g, &bt, scheme, 1, &mut rng);
+            let part = init(&g, &bt, scheme, 1, &mut rng);
             assert_eq!(part.len(), 2);
             let pw = part_weights(&g, &part);
             assert_eq!(pw, [1, 1], "{scheme:?}");

@@ -9,7 +9,7 @@
 use crate::bisect::bisect_targets;
 use crate::config::MlConfig;
 use crate::metrics::edge_cut_kway;
-use mlgp_graph::{split_by_part, CsrGraph, Wgt};
+use mlgp_graph::{split_by_part, CsrGraph, Vid, Wgt};
 use mlgp_trace::Trace;
 
 /// Result of a k-way partitioning.
@@ -83,7 +83,10 @@ where
     let total = g.total_vwgt();
     // Proportional target: side 0 receives k0/k of the weight.
     let t0 = ((total as i128 * k0 as i128) / k as i128) as Wgt;
-    let bpart8 = bisector(g, [t0, total - t0], salt);
+    let mut bpart8 = bisector(g, [t0, total - t0], salt);
+    if g.n() >= k {
+        ensure_side_sizes(g, &mut bpart8, [k0, k1]);
+    }
     if k == 2 {
         for (p, &side) in part.iter_mut().zip(&bpart8) {
             *p = side as u32;
@@ -109,6 +112,27 @@ where
     }
     for (i, &orig) in s1.orig.iter().enumerate() {
         part[orig as usize] = k0 as u32 + part1[i];
+    }
+}
+
+/// Give side `s` at least `need[s]` vertices, so that none of the parts it
+/// is split into ends up empty. Requires `need[0] + need[1] <= n`. A short
+/// side takes the lightest vertices of the other side (lowest id first
+/// among equals); a bisector that respects the counts is left untouched.
+fn ensure_side_sizes(g: &CsrGraph, side: &mut [u8], need: [usize; 2]) {
+    let n1 = side.iter().filter(|&&s| s == 1).count();
+    for (s, have) in [(0u8, side.len() - n1), (1, n1)] {
+        let short = need[s as usize].saturating_sub(have);
+        if short == 0 {
+            continue;
+        }
+        let mut donors: Vec<Vid> = (0..g.n() as Vid)
+            .filter(|&v| side[v as usize] != s)
+            .collect();
+        donors.sort_by_key(|&v| (g.vwgt()[v as usize], v));
+        for &v in &donors[..short] {
+            side[v as usize] = s;
+        }
     }
 }
 
@@ -153,6 +177,17 @@ mod tests {
             let imb = imbalance(&g, &r.part, k);
             assert!(imb < 1.15, "k={k}: imbalance {imb}");
             assert_eq!(r.part.iter().map(|&p| p as usize).max().unwrap(), k - 1);
+        }
+    }
+
+    #[test]
+    fn every_part_gets_a_vertex_when_n_is_at_least_k() {
+        // A bisector that always puts every vertex on side 0.
+        let g = grid2d(3, 2);
+        for k in 2..=6 {
+            let part = recursive_kway_with(&g, k, &|sub: &CsrGraph, _, _| vec![0; sub.n()]);
+            let w = part_weights(&g, &part, k);
+            assert!(w.iter().all(|&x| x > 0), "k={k}: {w:?}");
         }
     }
 

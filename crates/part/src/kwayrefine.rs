@@ -88,29 +88,6 @@ pub struct KwayRefineStats {
     pub moves: usize,
 }
 
-/// Refine a k-way partition in place with the round-based kernel. Returns
-/// the resulting edge-cut.
-pub fn kway_refine_greedy(
-    g: &CsrGraph,
-    part: &mut [u32],
-    k: usize,
-    opts: &KwayRefineOptions,
-) -> Wgt {
-    kway_refine_greedy_traced(g, part, k, opts, &Trace::disabled())
-}
-
-/// [`kway_refine_greedy`] with telemetry: one `kway_round` event per round
-/// plus a `kway_sweep` summary and workspace counters.
-pub fn kway_refine_greedy_traced(
-    g: &CsrGraph,
-    part: &mut [u32],
-    k: usize,
-    opts: &KwayRefineOptions,
-    trace: &Trace,
-) -> Wgt {
-    kway_refine_stats(g, part, k, opts, trace).0
-}
-
 /// Per-shard kernel state: the contiguous vertex range one worker owns,
 /// with its connectivity scratch and per-round outputs.
 struct RefineShard {
@@ -126,9 +103,11 @@ struct RefineShard {
     winners: Vec<(Vid, Wgt)>,
 }
 
-/// [`kway_refine_greedy_traced`] returning the kernel telemetry alongside
-/// the final cut (used by the scaling bench and the determinism suite).
-pub fn kway_refine_stats(
+/// Refine a k-way partition in place with the round-based kernel. Returns
+/// the resulting edge-cut and the kernel telemetry. Records one
+/// `kway_round` event per round plus a `kway_sweep` summary and workspace
+/// counters on `trace`.
+pub fn kway_refine_greedy(
     g: &CsrGraph,
     part: &mut [u32],
     k: usize,
@@ -373,21 +352,11 @@ pub fn kway_refine_stats(
     (cut_after, stats)
 }
 
-/// [`kway_partition`] followed by the round-based k-way sweep.
+/// [`kway_partition`] followed by the round-based k-way sweep, with
+/// telemetry over both the recursive bisections and the sweep.
 ///
 /// [`kway_partition`]: crate::kway::kway_partition
-pub fn kway_partition_refined(g: &CsrGraph, k: usize, cfg: &MlConfig) -> KwayResult {
-    kway_partition_refined_traced(g, k, cfg, &Trace::disabled())
-}
-
-/// [`kway_partition_refined`] with telemetry over both the recursive
-/// bisections and the final k-way sweep.
-pub fn kway_partition_refined_traced(
-    g: &CsrGraph,
-    k: usize,
-    cfg: &MlConfig,
-    trace: &Trace,
-) -> KwayResult {
+pub fn kway_partition_refined(g: &CsrGraph, k: usize, cfg: &MlConfig, trace: &Trace) -> KwayResult {
     let mut r = kway_partition_traced(g, k, cfg, trace);
     let opts = KwayRefineOptions {
         imbalance: cfg.imbalance,
@@ -396,21 +365,9 @@ pub fn kway_partition_refined_traced(
         ..KwayRefineOptions::default()
     };
     let t = trace.start();
-    r.edge_cut = kway_refine_greedy_traced(g, &mut r.part, k, &opts, trace);
+    r.edge_cut = kway_refine_greedy(g, &mut r.part, k, &opts, trace).0;
     trace.stop(t, SPAN_REFINE);
     r
-}
-
-/// Number of boundary vertices of a k-way partition (convenience used by
-/// the sweep's tests and benches).
-pub fn kway_boundary(g: &CsrGraph, part: &[u32]) -> usize {
-    (0..g.n() as Vid)
-        .filter(|&v| {
-            g.neighbors(v)
-                .iter()
-                .any(|&u| part[u as usize] != part[v as usize])
-        })
-        .count()
 }
 
 #[cfg(test)]
@@ -423,11 +380,13 @@ mod tests {
     #[test]
     fn sweep_improves_or_preserves_cut() {
         let g = tri_mesh2d(24, 24, 6);
+        let off = Trace::disabled();
         for k in [4, 8, 16] {
             let base = kway_partition(&g, k, &MlConfig::default());
             let before_imb = imbalance(&g, &base.part, k);
             let mut part = base.part.clone();
-            let refined = kway_refine_greedy(&g, &mut part, k, &KwayRefineOptions::default());
+            let (refined, _) =
+                kway_refine_greedy(&g, &mut part, k, &KwayRefineOptions::default(), &off);
             assert!(
                 refined <= base.edge_cut,
                 "k={k}: {refined} > {}",
@@ -454,7 +413,7 @@ mod tests {
             }
         }
         let damaged = edge_cut_kway(&g, &part);
-        let repaired = kway_refine_greedy(
+        let (repaired, _) = kway_refine_greedy(
             &g,
             &mut part,
             4,
@@ -462,6 +421,7 @@ mod tests {
                 imbalance: 1.10,
                 ..KwayRefineOptions::default()
             },
+            &Trace::disabled(),
         );
         assert!(damaged > good.edge_cut, "perturbation did nothing");
         let recovered = (damaged - repaired) as f64 / (damaged - good.edge_cut) as f64;
@@ -475,7 +435,7 @@ mod tests {
     fn refined_pipeline_beats_or_ties_plain() {
         let g = tet_mesh3d(12, 12, 12, 8);
         let plain = kway_partition(&g, 16, &MlConfig::default());
-        let refined = kway_partition_refined(&g, 16, &MlConfig::default());
+        let refined = kway_partition_refined(&g, 16, &MlConfig::default(), &Trace::disabled());
         assert!(refined.edge_cut <= plain.edge_cut);
         assert!(imbalance(&g, &refined.part, 16) <= 1.05);
     }
@@ -500,6 +460,7 @@ mod tests {
                 imbalance: 1.01,
                 ..KwayRefineOptions::default()
             },
+            &Trace::disabled(),
         );
         let mut pw = vec![0i64; 5];
         for v in 0..g.n() {
@@ -515,11 +476,14 @@ mod tests {
     fn trivial_cases() {
         let g = grid2d(4, 4);
         let mut part = vec![0u32; 16];
-        assert_eq!(
-            kway_refine_greedy(&g, &mut part, 1, &KwayRefineOptions::default()),
-            0
+        let (cut, _) = kway_refine_greedy(
+            &g,
+            &mut part,
+            1,
+            &KwayRefineOptions::default(),
+            &Trace::disabled(),
         );
-        let _ = kway_boundary(&g, &part);
+        assert_eq!(cut, 0);
     }
 
     #[test]
@@ -527,7 +491,13 @@ mod tests {
         let g = tri_mesh2d(15, 15, 2);
         let run = || {
             let mut part = kway_partition(&g, 8, &MlConfig::default()).part;
-            kway_refine_greedy(&g, &mut part, 8, &KwayRefineOptions::default());
+            kway_refine_greedy(
+                &g,
+                &mut part,
+                8,
+                &KwayRefineOptions::default(),
+                &Trace::disabled(),
+            );
             part
         };
         assert_eq!(run(), run());
@@ -539,7 +509,7 @@ mod tests {
         let base = kway_partition(&g, 8, &MlConfig::default()).part;
         let run = |threads: usize| {
             let mut part = base.clone();
-            let (cut, stats) = kway_refine_stats(
+            let (cut, stats) = kway_refine_greedy(
                 &g,
                 &mut part,
                 8,
@@ -572,8 +542,8 @@ mod tests {
         }
         let trace = Trace::enabled();
         let before = edge_cut_kway(&g, &part);
-        let after =
-            kway_refine_greedy_traced(&g, &mut part, 6, &KwayRefineOptions::default(), &trace);
+        let (after, _) =
+            kway_refine_greedy(&g, &mut part, 6, &KwayRefineOptions::default(), &trace);
         assert!(after <= before);
         let events = trace.events();
         let rounds = events

@@ -13,6 +13,7 @@ use super::queue::GainQueue;
 use super::state::BisectState;
 use crate::config::{MlConfig, RefinementPolicy};
 use mlgp_graph::{Vid, Wgt};
+use std::cmp::Reverse;
 
 /// Balance targets for a (possibly uneven) bisection.
 #[derive(Clone, Copy, Debug)]
@@ -51,7 +52,7 @@ impl BalanceTargets {
     }
 }
 
-/// Statistics of a single KL/FM pass (see [`fm_pass_stats`]).
+/// Statistics of a single KL/FM pass (see [`fm_pass`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PassStats {
     /// Whether the pass improved the cut or repaired the balance.
@@ -90,19 +91,8 @@ impl RefineStats {
     }
 }
 
-/// One KL/FM pass. Returns `true` if the pass improved the cut or repaired
-/// the balance.
+/// One KL/FM pass, with its statistics.
 pub fn fm_pass(
-    state: &mut BisectState<'_>,
-    bt: &BalanceTargets,
-    boundary_only: bool,
-    early_exit_moves: usize,
-) -> bool {
-    fm_pass_stats(state, bt, boundary_only, early_exit_moves).improved
-}
-
-/// [`fm_pass`] with full per-pass statistics.
-pub fn fm_pass_stats(
     state: &mut BisectState<'_>,
     bt: &BalanceTargets,
     boundary_only: bool,
@@ -110,8 +100,11 @@ pub fn fm_pass_stats(
 ) -> PassStats {
     let g = state.graph();
     let n = g.n();
-    let start_cut = state.cut;
-    let start_balanced = bt.balanced(state.pwgts);
+    // States rank by (balanced, both sides non-empty, lower cut). A side
+    // holding every vertex has cut 0, so among unbalanced states the cut
+    // alone would prefer emptying a side.
+    let rank = |pw: [Wgt; 2], cut: Wgt| (bt.balanced(pw), pw[0] > 0 && pw[1] > 0, Reverse(cut));
+    let start = rank(state.pwgts, state.cut);
     // `locked` marks vertices that may no longer move in this pass: already
     // moved, or rejected for balance.
     let mut locked = vec![false; n];
@@ -123,7 +116,7 @@ pub fn fm_pass_stats(
         queues[state.part[v as usize] as usize].push(v, state.gain(v));
     }
     let mut log: Vec<Vid> = Vec::new();
-    let mut best = (start_balanced, start_cut);
+    let mut best = start;
     let mut best_len = 0usize;
     let mut bad = 0usize;
     let mut exited_early = false;
@@ -165,10 +158,9 @@ pub fn fm_pass_stats(
                 queues[state.part[u as usize] as usize].push(u, state.gain(u));
             }
         }
-        let now_balanced = bt.balanced(state.pwgts);
-        let better = (now_balanced && !best.0) || (now_balanced == best.0 && state.cut < best.1);
-        if better {
-            best = (now_balanced, state.cut);
+        let now = rank(state.pwgts, state.cut);
+        if now > best {
+            best = now;
             best_len = log.len();
             bad = 0;
         } else {
@@ -183,9 +175,9 @@ pub fn fm_pass_stats(
     for &v in log[best_len..].iter().rev() {
         state.move_vertex(v);
     }
-    debug_assert_eq!(state.cut, best.1);
+    debug_assert_eq!(Reverse(state.cut), best.2);
     PassStats {
-        improved: best.1 < start_cut || (best.0 && !start_balanced),
+        improved: best > start,
         moves: best_len,
         rollbacks: log.len() - best_len,
         early_exit: exited_early,
@@ -226,7 +218,7 @@ pub fn refine_level_stats(
         boundary: bool,
         x: usize,
     ) -> bool {
-        let p = fm_pass_stats(state, bt, boundary, x);
+        let p = fm_pass(state, bt, boundary, x);
         stats.absorb(p);
         p.improved
     }
@@ -302,13 +294,30 @@ mod tests {
     }
 
     #[test]
+    fn pass_never_keeps_an_empty_side() {
+        // A star whose center outweighs both targets: moving the center
+        // across empties side 0 at cut 0, which must not count as best.
+        let mut b = mlgp_graph::GraphBuilder::new(5);
+        b.set_vertex_weights(vec![100, 1, 1, 1, 1]);
+        for leaf in 1..5 {
+            b.add_edge(0, leaf);
+        }
+        let g = b.build();
+        let mut s = BisectState::new(&g, vec![0, 1, 1, 1, 1]);
+        let bt = BalanceTargets::even(g.total_vwgt(), 1.03);
+        fm_pass(&mut s, &bt, false, 50);
+        assert!(s.pwgts[0] > 0 && s.pwgts[1] > 0, "{:?}", s.pwgts);
+        assert!(s.consistent());
+    }
+
+    #[test]
     fn pass_improves_random_partition_on_grid() {
         let g = grid2d(16, 16);
         let part = random_partition(g.n(), 3);
         let mut s = BisectState::new(&g, part);
         let before = s.cut;
         let bt = BalanceTargets::even(g.total_vwgt(), 1.03);
-        let improved = fm_pass(&mut s, &bt, false, 50);
+        let improved = fm_pass(&mut s, &bt, false, 50).improved;
         assert!(improved);
         assert!(s.cut < before, "{} -> {}", before, s.cut);
         assert!(s.consistent());

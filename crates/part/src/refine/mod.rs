@@ -5,9 +5,6 @@ pub mod fm;
 pub mod queue;
 pub mod state;
 
-pub use fm::{
-    fm_pass, fm_pass_stats, refine_level, refine_level_stats, BalanceTargets, PassStats,
-    RefineStats,
-};
+pub use fm::{fm_pass, refine_level, refine_level_stats, BalanceTargets, PassStats, RefineStats};
 pub use queue::GainQueue;
 pub use state::BisectState;

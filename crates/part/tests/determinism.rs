@@ -16,6 +16,7 @@ use mlgp_part::{
     bisect, coarsen, kway_partition, kway_partition_refined, kway_refine_greedy, MatchingScheme,
     MlConfig,
 };
+use mlgp_trace::Trace;
 
 /// Thread counts under test: the ISSUE's {1, 2, 8} plus an optional
 /// `MLGP_THREADS` override from the CI matrix.
@@ -44,9 +45,9 @@ fn cfg_with(matching: MatchingScheme, threads: usize) -> MlConfig {
 fn hierarchy_is_bit_identical_across_thread_counts() {
     let g = tri_mesh2d(40, 32, 11);
     for scheme in MatchingScheme::all() {
-        let reference = coarsen(&g, &cfg_with(scheme, 1), &mut seeded(3));
+        let reference = coarsen(&g, &cfg_with(scheme, 1), &mut seeded(3), &Trace::disabled());
         for &t in &thread_counts()[1..] {
-            let h = coarsen(&g, &cfg_with(scheme, t), &mut seeded(3));
+            let h = coarsen(&g, &cfg_with(scheme, t), &mut seeded(3), &Trace::disabled());
             assert_eq!(
                 h.levels(),
                 reference.levels(),
@@ -110,9 +111,9 @@ fn refined_pipeline_is_bit_identical_across_thread_counts() {
     // function of (graph, config, seed).
     let g = tri_mesh2d(32, 28, 6);
     for scheme in [MatchingScheme::HeavyEdge, MatchingScheme::Random] {
-        let reference = kway_partition_refined(&g, 8, &cfg_with(scheme, 1));
+        let reference = kway_partition_refined(&g, 8, &cfg_with(scheme, 1), &Trace::disabled());
         for &t in &thread_counts()[1..] {
-            let r = kway_partition_refined(&g, 8, &cfg_with(scheme, t));
+            let r = kway_partition_refined(&g, 8, &cfg_with(scheme, t), &Trace::disabled());
             assert_eq!(
                 r.edge_cut, reference.edge_cut,
                 "{scheme:?}: refined cut differs at {t} threads"
@@ -144,7 +145,7 @@ fn kway_refine_kernel_is_bit_identical_across_thread_counts() {
             threads,
             ..Default::default()
         };
-        let cut = kway_refine_greedy(&g, &mut part, 8, &opts);
+        let (cut, _) = kway_refine_greedy(&g, &mut part, 8, &opts, &Trace::disabled());
         (part, cut)
     };
     let reference = run(1);
@@ -159,9 +160,9 @@ fn irregular_graph_hierarchy_is_thread_independent() {
     // must be just as thread-independent as the handshake rounds.
     let g = powerlaw(4000, 4, 13);
     for scheme in [MatchingScheme::HeavyEdge, MatchingScheme::Random] {
-        let reference = coarsen(&g, &cfg_with(scheme, 1), &mut seeded(8));
+        let reference = coarsen(&g, &cfg_with(scheme, 1), &mut seeded(8), &Trace::disabled());
         for &t in &thread_counts()[1..] {
-            let h = coarsen(&g, &cfg_with(scheme, t), &mut seeded(8));
+            let h = coarsen(&g, &cfg_with(scheme, t), &mut seeded(8), &Trace::disabled());
             assert_eq!(h.graphs.len(), reference.graphs.len(), "{scheme:?}");
             for (a, b) in h.graphs.iter().zip(&reference.graphs) {
                 assert_eq!(a, b, "{scheme:?} differs at {t} threads");

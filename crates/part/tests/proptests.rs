@@ -6,6 +6,7 @@ use mlgp_graph::rng::seeded;
 use mlgp_graph::{CsrGraph, GraphBuilder};
 use mlgp_part::refine::{fm_pass, refine_level, BalanceTargets, BisectState, GainQueue};
 use mlgp_part::{coarsen, MatchingScheme, MlConfig, RefinementPolicy};
+use mlgp_trace::Trace;
 use proptest::prelude::*;
 use rand::RngExt;
 
@@ -85,7 +86,7 @@ proptest! {
         // coarse cut — level by level through a full hierarchy.
         let g = random_graph(n, extra, seed);
         let cfg = MlConfig { coarsen_to: 8, seed, ..MlConfig::default() };
-        let h = coarsen(&g, &cfg, &mut seeded(seed));
+        let h = coarsen(&g, &cfg, &mut seeded(seed), &Trace::disabled());
         let nc = h.coarsest().n();
         let mut part: Vec<u8> = (0..nc).map(|i| (i % 2) as u8).collect();
         let mut cut = mlgp_part::edge_cut_bisection(h.coarsest(), &part);
@@ -205,11 +206,12 @@ proptest! {
         let g = random_graph(n, extra, seed);
         let base = mlgp_part::kway_partition(&g, k, &MlConfig { seed, ..MlConfig::default() });
         let mut part = base.part.clone();
-        let refined = mlgp_part::kway_refine_greedy(
+        let (refined, _) = mlgp_part::kway_refine_greedy(
             &g,
             &mut part,
             k,
             &mlgp_part::KwayRefineOptions::default(),
+            &Trace::disabled(),
         );
         prop_assert!(refined <= base.edge_cut);
         prop_assert_eq!(refined, mlgp_part::edge_cut_kway(&g, &part));

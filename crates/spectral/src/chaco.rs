@@ -55,7 +55,7 @@ pub fn chaco_ml_bisect_targets(g: &CsrGraph, cfg: &ChacoMlConfig, target: [Wgt; 
     };
     let bt = BalanceTargets::new(target, cfg.imbalance);
     let mut rng = mlgp_graph::rng::seeded(cfg.seed);
-    let h = coarsen(g, &ml, &mut rng);
+    let h = coarsen(g, &ml, &mut rng, &Trace::disabled());
     // Spectral bisection of the coarsest graph.
     let mut part = initial_partition_traced(
         h.coarsest(),

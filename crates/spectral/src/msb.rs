@@ -18,6 +18,7 @@ use mlgp_part::kway::recursive_kway_with;
 use mlgp_part::refine::fm::BalanceTargets;
 use mlgp_part::refine::{refine_level, BisectState};
 use mlgp_part::{coarsen, MatchingScheme, MlConfig, RefinementPolicy};
+use mlgp_trace::Trace;
 
 /// Configuration for the MSB baseline.
 #[derive(Clone, Copy, Debug)]
@@ -71,7 +72,7 @@ pub fn msb_fiedler(g: &CsrGraph, cfg: &MsbConfig) -> Vec<f64> {
         ..MlConfig::default()
     };
     let mut rng = mlgp_graph::rng::seeded(cfg.seed);
-    let h = coarsen(g, &ml, &mut rng);
+    let h = coarsen(g, &ml, &mut rng, &Trace::disabled());
     let coarsest = h.coarsest();
     let mut x = if coarsest.n() >= 2 {
         fiedler_dense(coarsest).1

@@ -45,7 +45,7 @@ fn main() {
     let p = kway_partition(&g, k, &MlConfig::default()).part;
     show("multilevel", p, t.elapsed().as_secs_f64());
     let t = Instant::now();
-    let p = kway_partition_refined(&g, k, &MlConfig::default()).part;
+    let p = kway_partition_refined(&g, k, &MlConfig::default(), &Trace::disabled()).part;
     show("multilevel + kway", p, t.elapsed().as_secs_f64());
     println!("\n(geometric methods are fast but connectivity-blind — the paper's §1)");
 }

@@ -213,6 +213,24 @@ fn small_paths_get_no_empty_parts() {
         let distinct: std::collections::BTreeSet<&str> = labels.lines().collect();
         assert_eq!(distinct.len(), parts, "{graph} k={k} {method}: {labels}");
     }
+    // Weighted stars: a center heavier than every bisection target, where a
+    // bisection that only chases weight could leave a side empty.
+    for center in [100, 3] {
+        let star = dir.join(format!("star{center}.graph"));
+        std::fs::write(
+            &star,
+            format!("5 4 10\n{center} 2 3 4 5\n1 1\n1 1\n1 1\n1 1\n"),
+        )
+        .unwrap();
+        let star = star.to_str().unwrap();
+        for method in ["ml", "msb", "msb-kl", "chaco"] {
+            for k in 2..=5 {
+                let labels = partition_labels(star, &k.to_string(), &out, &["--method", method]);
+                let distinct: std::collections::BTreeSet<&str> = labels.lines().collect();
+                assert_eq!(distinct.len(), k, "star{center} k={k} {method}: {labels}");
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
