@@ -24,8 +24,8 @@ pub struct LanczosOptions {
     pub tol: f64,
     /// RNG seed for the start vector.
     pub seed: u64,
-    /// Worker threads for the vector kernels and SpMV (`0` = ambient
-    /// rayon fan-out, `1` = serial, `n` = advisory `n` shards). Results
+    /// Workers for the vector kernels and SpMV, installed with
+    /// [`crate::with_fanout`] (`0` = ambient pool, `1` = serial). Results
     /// are bit-identical for every value: all float reductions use the
     /// deterministic chunked-pairwise tree in `vecops`.
     pub threads: usize,
@@ -80,7 +80,7 @@ fn lanczos_fiedler_impl<O: SymOp>(
 ) -> LanczosResult {
     // One advisory cap at entry governs every inner kernel (vecops
     // reductions and the operator's SpMV shards when it follows ambient).
-    crate::vecops::with_fanout(opts.threads, || lanczos_fiedler_body(op, opts, start))
+    crate::par::with_fanout(opts.threads, || lanczos_fiedler_body(op, opts, start))
 }
 
 fn lanczos_fiedler_body<O: SymOp>(

@@ -20,8 +20,8 @@ pub trait SymOp {
 ///
 /// The SpMV is sharded over vertex-row ranges — each `y[v]` depends only
 /// on row `v` of the CSR arrays, so the result is bit-identical at every
-/// fan-out. The [`Laplacian::with_threads`] knob caps the shard count
-/// (`0` = ambient rayon fan-out); every apply is tallied in the
+/// fan-out. The [`Laplacian::with_threads`] knob sets the workers
+/// (`0` = ambient rayon pool); every apply is tallied in the
 /// `spmv_calls` / `spmv_rows` telemetry counters (see
 /// [`Laplacian::spmv_calls`]) which `fiedler_vector` exports as `spmv_*`
 /// trace counters.
@@ -30,7 +30,7 @@ pub struct Laplacian<'a> {
     g: &'a CsrGraph,
     /// Cached weighted degrees (diagonal of `L`).
     deg: Vec<f64>,
-    /// Shard fan-out for `apply`/`rayleigh` (0 = ambient).
+    /// Workers for `apply`/`rayleigh` (0 = ambient).
     threads: usize,
     /// Number of `apply` (SpMV) calls performed through this operator.
     spmv_calls: AtomicU64,
@@ -45,9 +45,10 @@ impl<'a> Laplacian<'a> {
         Self::with_threads(g, 0)
     }
 
-    /// [`Laplacian::new`] with an explicit shard fan-out (`0` = ambient,
-    /// `1` = serial, `n` = advisory `n` shards). Purely a speed knob —
-    /// the SpMV is row-sharded and bit-identical at every value.
+    /// [`Laplacian::new`] with an explicit worker request for
+    /// [`crate::with_fanout`] (`0` = ambient pool, `1` = serial). Purely a
+    /// speed knob — the SpMV is row-sharded and bit-identical at every
+    /// value.
     pub fn with_threads(g: &'a CsrGraph, threads: usize) -> Self {
         let deg = (0..g.n() as Vid)
             .map(|v| g.weighted_degree(v) as f64)
@@ -93,7 +94,7 @@ impl<'a> Laplacian<'a> {
     /// deterministic chunked-pairwise tree (`vecops::chunked_reduce`), so
     /// the value is identical at every thread count.
     pub fn rayleigh(&self, x: &[f64]) -> f64 {
-        crate::vecops::with_fanout(self.threads, || {
+        crate::par::with_fanout(self.threads, || {
             let xx = crate::vecops::dot(x, x);
             if xx == 0.0 {
                 return 0.0;
@@ -116,9 +117,6 @@ impl<'a> Laplacian<'a> {
     }
 }
 
-/// Below this size the parallel SpMV's fork overhead exceeds the work.
-const PAR_APPLY_THRESHOLD: usize = 20_000;
-
 impl SymOp for Laplacian<'_> {
     fn dim(&self) -> usize {
         self.g.n()
@@ -140,15 +138,16 @@ impl SymOp for Laplacian<'_> {
         };
         let shard = |y: &mut [f64]| {
             use rayon::prelude::*;
+            // No chunk shorter than a vector-kernel reduction chunk.
             y.par_iter_mut()
                 .enumerate()
-                .with_min_len(4096)
+                .with_min_len(crate::vecops::REDUCTION_CHUNK)
                 .for_each(|(v, yv)| {
                     *yv = row(v as Vid);
                 });
         };
-        if self.g.n() >= PAR_APPLY_THRESHOLD && self.threads != 1 {
-            crate::vecops::with_fanout(self.threads, || shard(y));
+        if self.g.n() >= crate::par::SPMV_FLOOR && self.threads != 1 {
+            crate::par::with_fanout(self.threads, || shard(y));
         } else {
             for v in 0..self.g.n() as Vid {
                 y[v as usize] = row(v);

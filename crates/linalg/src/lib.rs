@@ -21,6 +21,7 @@ pub mod dense;
 pub mod lanczos;
 pub mod laplacian;
 pub mod minres;
+pub mod par;
 pub mod rqi;
 pub mod vecops;
 
@@ -28,8 +29,9 @@ pub use dense::{fiedler_dense, jacobi_eigen, DenseSym, EigenDecomposition};
 pub use lanczos::{lanczos_fiedler, lanczos_fiedler_with_start, LanczosOptions, LanczosResult};
 pub use laplacian::{Laplacian, Shifted, SymOp};
 pub use minres::{minres, MinresOptions, MinresResult};
+pub use par::with_fanout;
 pub use rqi::{rqi_refine, RqiOptions, RqiResult};
-pub use vecops::{chunked_reduce, with_fanout, REDUCTION_CHUNK};
+pub use vecops::{chunked_reduce, REDUCTION_CHUNK};
 
 use mlgp_graph::CsrGraph;
 use mlgp_trace::{Event, Trace};

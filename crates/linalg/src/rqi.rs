@@ -20,9 +20,10 @@ pub struct RqiOptions {
     pub inner_iters: usize,
     /// Convergence: `‖Lx − ρx‖ ≤ tol · max_degree`.
     pub tol: f64,
-    /// Worker threads for the vector kernels, inner MINRES solves, and
-    /// SpMV (`0` = ambient rayon fan-out). Bit-identical results at every
-    /// value — all float reductions are deterministic chunked-pairwise.
+    /// Workers for the vector kernels, inner MINRES solves, and SpMV,
+    /// installed with [`crate::with_fanout`] (`0` = ambient pool).
+    /// Bit-identical results at every value — all float reductions are
+    /// deterministic chunked-pairwise.
     pub threads: usize,
 }
 
@@ -52,7 +53,7 @@ pub struct RqiResult {
 
 /// Refine `x0` toward the Fiedler pair of `lap`.
 pub fn rqi_refine(lap: &Laplacian<'_>, x0: &[f64], opts: &RqiOptions) -> RqiResult {
-    crate::vecops::with_fanout(opts.threads, || rqi_refine_body(lap, x0, opts))
+    crate::par::with_fanout(opts.threads, || rqi_refine_body(lap, x0, opts))
 }
 
 fn rqi_refine_body(lap: &Laplacian<'_>, x0: &[f64], opts: &RqiOptions) -> RqiResult {

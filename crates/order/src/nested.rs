@@ -32,16 +32,17 @@ pub struct NdConfig {
     pub bisector: NdBisector,
     /// Subgraphs at or below this size are ordered with MMD.
     pub leaf_size: usize,
-    /// Fork the recursion in parallel above this size.
+    /// Fork the recursion in parallel at or above this size (default
+    /// `mlgp_linalg::par::FORK_FLOOR`).
     pub parallel_threshold: usize,
     /// Apply FM-style separator refinement after the minimum vertex cover
     /// (see [`crate::seprefine`]).
     pub refine_separator: bool,
-    /// Worker threads for the recursion forks and the bisector's kernels
-    /// (`0` = leave the bisector configs and ambient fan-out alone; any
-    /// other value overrides the nested `MlConfig`/`MsbConfig` knob and
-    /// caps the recursion's `rayon::join` fan-out). Orderings are
-    /// bit-identical at every value.
+    /// Shard-count override and worker request (`0` = leave the bisector
+    /// configs and the installed pool alone; any other value overrides the
+    /// nested `MlConfig`/`MsbConfig` knob and runs the dissection under
+    /// `with_fanout(threads, ..)`). Orderings are bit-identical at every
+    /// value.
     pub threads: usize,
 }
 
@@ -50,7 +51,7 @@ impl Default for NdConfig {
         Self {
             bisector: NdBisector::Multilevel(MlConfig::default()),
             leaf_size: 120,
-            parallel_threshold: 4096,
+            parallel_threshold: mlgp_linalg::par::FORK_FLOOR,
             refine_separator: true,
             threads: 0,
         }
@@ -84,7 +85,7 @@ pub fn nested_dissection(g: &CsrGraph, cfg: &NdConfig) -> Permutation {
 /// coarsening/refinement events.
 pub fn nested_dissection_traced(g: &CsrGraph, cfg: &NdConfig, trace: &Trace) -> Permutation {
     // A nonzero NdConfig::threads overrides the bisector's own knob and
-    // caps the recursion fan-out via an advisory pool around the run.
+    // installs a pool around the run.
     let mut cfg = *cfg;
     if cfg.threads != 0 {
         match &mut cfg.bisector {

@@ -68,7 +68,7 @@ fn lanczos_fiedler_is_bit_identical_across_thread_counts() {
 #[test]
 fn lanczos_above_parallel_spmv_threshold_is_thread_invariant() {
     // ~25.6k vertices: the row-sharded SpMV branch actually engages
-    // (PAR_APPLY_THRESHOLD = 20k). Capped steps keep the test quick —
+    // (`par::SPMV_FLOOR` = 20k). Capped steps keep the test quick —
     // convergence is irrelevant here, only bit-identity.
     let g = tri_mesh2d(160, 160, 7);
     let opts = |threads| LanczosOptions {

@@ -3,8 +3,9 @@
 
 use crate::config::MlConfig;
 use crate::contract::contract_threads;
-use crate::matching::{compute_matching_threads, MIN_PARALLEL_N};
+use crate::matching::compute_matching_threads;
 use mlgp_graph::{CsrGraph, Vid};
+use mlgp_linalg::par::VERTEX_FLOOR;
 use mlgp_trace::Trace;
 use rand::Rng;
 use rayon::prelude::*;
@@ -45,7 +46,7 @@ impl Hierarchy {
         let mut fine = vec![0u8; cmap.len()];
         fine.par_iter_mut()
             .enumerate()
-            .with_min_len(MIN_PARALLEL_N)
+            .with_min_len(VERTEX_FLOOR)
             .for_each(|(v, slot)| *slot = coarse_part[cmap[v] as usize]);
         fine
     }

@@ -156,12 +156,12 @@ pub struct MlConfig {
     pub hybrid_boundary_frac: f64,
     /// RNG seed (the paper fixes its seed for all experiments).
     pub seed: u64,
-    /// Worker threads for the parallel coarsening, uncoarsening
-    /// (projection, refinement-state, k-way sweep) and metric kernels: `0`
-    /// follows the ambient rayon fan-out (`ThreadPool::install` caps it),
-    /// any other value forces exactly that many shards. Results are
-    /// bit-identical for every value — the kernels are deterministic by
-    /// construction (see `matching.rs`) — so this is purely a speed knob.
+    /// Shard-count override for the sharded kernels (matching,
+    /// contraction, refinement state, k-way sweep), and the worker request
+    /// of the initial-partitioning trials. `0`, the runtime setting,
+    /// follows the installed pool (`mlgp_linalg::par`); any other value
+    /// forces exactly that many shards, for tests and the benchmark.
+    /// Results are bit-identical for every value.
     pub threads: usize,
 }
 

@@ -23,8 +23,8 @@
 //! every shard count. `contract(...)` (auto threads) and
 //! [`contract_threads`] with any explicit `threads` agree exactly.
 
-use crate::matching::{resolve_shards, shard_bounds};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
+use mlgp_linalg::par::shard_ranges;
 use rayon::prelude::*;
 
 /// Result of one contraction step.
@@ -67,8 +67,9 @@ struct ShardRows {
     entries: u64,
 }
 
-/// [`contract`] with an explicit thread count (`0` = the rayon fan-out) and
-/// kernel telemetry. Output is bit-identical for every `threads` value.
+/// [`contract`] with an explicit shard count (`0` = follow the installed
+/// pool, see [`shard_ranges`]) and kernel telemetry. Output is
+/// bit-identical for every `threads` value.
 pub fn contract_threads(
     g: &CsrGraph,
     cmap: &[Vid],
@@ -98,65 +99,60 @@ pub fn contract_threads(
         }
     }
 
-    let nshards = resolve_shards(ncoarse, threads);
     // Pass 1: every shard builds its rows privately.
-    let mut shards: Vec<ShardRows> = shard_bounds(ncoarse, nshards)
+    let mut shards: Vec<ShardRows> = shard_ranges(ncoarse, threads)
         .into_iter()
-        .map(|(lo, hi)| ShardRows {
-            lo,
-            hi,
-            xadj: Vec::with_capacity(hi - lo),
+        .map(|r| ShardRows {
+            lo: r.start,
+            hi: r.end,
+            xadj: Vec::with_capacity(r.len()),
             adjncy: Vec::new(),
             adjwgt: Vec::new(),
-            cvwgt: vec![0; hi - lo],
-            ccewgt: vec![0; hi - lo],
+            cvwgt: vec![0; r.len()],
+            ccewgt: vec![0; r.len()],
             entries: 0,
         })
         .collect();
-    shards
-        .par_iter_mut()
-        .enumerate()
-        .with_min_len(1)
-        .for_each(|(_, sh)| {
-            // Scratch: position of coarse neighbor `u` in the row being built,
-            // or u32::MAX. Reset incrementally after each row.
-            let mut pos = vec![u32::MAX; ncoarse];
-            let mut row: Vec<(Vid, Wgt)> = Vec::new();
-            for c in sh.lo..sh.hi {
-                row.clear();
-                let mut internal = 0 as Wgt;
-                for &v in &members[ccount[c] as usize..ccount[c + 1] as usize] {
-                    sh.cvwgt[c - sh.lo] += g.vwgt()[v as usize];
-                    sh.ccewgt[c - sh.lo] += cewgt[v as usize];
-                    sh.entries += g.degree(v) as u64;
-                    for (u, w) in g.adj(v) {
-                        let cu = cmap[u as usize];
-                        if cu as usize == c {
-                            internal += w; // counted from both endpoints => 2w total
-                            continue;
-                        }
-                        let p = pos[cu as usize];
-                        if p == u32::MAX {
-                            pos[cu as usize] = row.len() as u32;
-                            row.push((cu, w));
-                        } else {
-                            row[p as usize].1 += w;
-                        }
+    shards.par_iter_mut().for_each(|sh| {
+        // Scratch: position of coarse neighbor `u` in the row being built,
+        // or u32::MAX. Reset incrementally after each row.
+        let mut pos = vec![u32::MAX; ncoarse];
+        let mut row: Vec<(Vid, Wgt)> = Vec::new();
+        for c in sh.lo..sh.hi {
+            row.clear();
+            let mut internal = 0 as Wgt;
+            for &v in &members[ccount[c] as usize..ccount[c + 1] as usize] {
+                sh.cvwgt[c - sh.lo] += g.vwgt()[v as usize];
+                sh.ccewgt[c - sh.lo] += cewgt[v as usize];
+                sh.entries += g.degree(v) as u64;
+                for (u, w) in g.adj(v) {
+                    let cu = cmap[u as usize];
+                    if cu as usize == c {
+                        internal += w; // counted from both endpoints => 2w total
+                        continue;
+                    }
+                    let p = pos[cu as usize];
+                    if p == u32::MAX {
+                        pos[cu as usize] = row.len() as u32;
+                        row.push((cu, w));
+                    } else {
+                        row[p as usize].1 += w;
                     }
                 }
-                // Each internal edge was seen from both endpoints.
-                debug_assert_eq!(internal % 2, 0);
-                sh.ccewgt[c - sh.lo] += internal / 2;
-                for &(u, _) in row.iter() {
-                    pos[u as usize] = u32::MAX;
-                }
-                // Canonical (sorted) row order — shard-count independent.
-                row.sort_unstable_by_key(|&(u, _)| u);
-                sh.adjncy.extend(row.iter().map(|&(u, _)| u));
-                sh.adjwgt.extend(row.iter().map(|&(_, w)| w));
-                sh.xadj.push(sh.adjncy.len() as u32);
             }
-        });
+            // Each internal edge was seen from both endpoints.
+            debug_assert_eq!(internal % 2, 0);
+            sh.ccewgt[c - sh.lo] += internal / 2;
+            for &(u, _) in row.iter() {
+                pos[u as usize] = u32::MAX;
+            }
+            // Canonical (sorted) row order — shard-count independent.
+            row.sort_unstable_by_key(|&(u, _)| u);
+            sh.adjncy.extend(row.iter().map(|&(u, _)| u));
+            sh.adjwgt.extend(row.iter().map(|&(_, w)| w));
+            sh.xadj.push(sh.adjncy.len() as u32);
+        }
+    });
 
     // Pass 2: prefix-sum shard lengths, then copy every shard's rows into
     // its disjoint destination slice in parallel.
@@ -210,22 +206,18 @@ pub fn contract_threads(
             cr = crest;
             base += len as u32;
         }
-        dests
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(1)
-            .for_each(|(_, d)| {
-                for (i, &end) in d.src.xadj.iter().enumerate() {
-                    d.xadj[i] = d.base + end;
-                }
-                d.adjncy.copy_from_slice(&d.src.adjncy);
-                d.adjwgt.copy_from_slice(&d.src.adjwgt);
-                d.cvwgt.copy_from_slice(&d.src.cvwgt);
-                d.ccewgt.copy_from_slice(&d.src.ccewgt);
-            });
+        dests.par_iter_mut().for_each(|d| {
+            for (i, &end) in d.src.xadj.iter().enumerate() {
+                d.xadj[i] = d.base + end;
+            }
+            d.adjncy.copy_from_slice(&d.src.adjncy);
+            d.adjwgt.copy_from_slice(&d.src.adjwgt);
+            d.cvwgt.copy_from_slice(&d.src.cvwgt);
+            d.ccewgt.copy_from_slice(&d.src.ccewgt);
+        });
     }
     let stats = ContractStats {
-        shards: nshards,
+        shards: shards.len(),
         entries: shards.iter().map(|sh| sh.entries).collect(),
     };
     (

@@ -133,7 +133,6 @@ fn best_of(
         use rayon::prelude::*;
         (0..trials)
             .into_par_iter()
-            .with_min_len(1)
             .map(|t| Some(run_trial(t)))
             .reduce(|| None, pick)
     });

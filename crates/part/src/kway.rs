@@ -10,6 +10,7 @@ use crate::bisect::bisect_targets;
 use crate::config::MlConfig;
 use crate::metrics::edge_cut_kway;
 use mlgp_graph::{split_by_part, CsrGraph, Vid, Wgt};
+use mlgp_linalg::par::FORK_FLOOR;
 use mlgp_trace::Trace;
 
 /// Result of a k-way partitioning.
@@ -22,10 +23,6 @@ pub struct KwayResult {
     /// Number of parts requested.
     pub nparts: usize,
 }
-
-/// Subproblems smaller than this are recursed sequentially; larger ones
-/// fork with rayon.
-const PARALLEL_THRESHOLD: usize = 4096;
 
 /// Partition `g` into `k` parts of near-equal vertex weight.
 pub fn kway_partition(g: &CsrGraph, k: usize, cfg: &MlConfig) -> KwayResult {
@@ -98,7 +95,7 @@ where
     let (s0, s1) = (&subs[0], &subs[1]);
     let mut part0 = vec![0u32; s0.graph.n()];
     let mut part1 = vec![0u32; s1.graph.n()];
-    if g.n() >= PARALLEL_THRESHOLD {
+    if g.n() >= FORK_FLOOR {
         rayon::join(
             || rec(&s0.graph, k0, bisector, salt * 2, &mut part0),
             || rec(&s1.graph, k1, bisector, salt * 2 + 1, &mut part1),

@@ -35,10 +35,10 @@
 
 use crate::config::MlConfig;
 use crate::kway::{kway_partition_traced, KwayResult};
-use crate::matching::{resolve_shards, shard_bounds};
 use crate::metrics::{edge_cut_kway, part_weights};
 use mlgp_graph::rng::{random_order, seeded};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
+use mlgp_linalg::par::shard_ranges;
 use mlgp_trace::{Event, Trace, SPAN_REFINE};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
@@ -55,8 +55,9 @@ pub struct KwayRefineOptions {
     pub imbalance: f64,
     /// Seed for the rank permutation (the commit tie-breaker).
     pub seed: u64,
-    /// Worker threads (`0` = the ambient rayon fan-out). The refined
-    /// partition is bit-identical for every value.
+    /// Shard-count override (`0` = follow the installed pool; see
+    /// `mlgp_linalg::par`). The refined partition is bit-identical for
+    /// every value.
     pub threads: usize,
 }
 
@@ -138,12 +139,11 @@ pub fn kway_refine_greedy(
     let avg = total as f64 / k as f64;
     let ub = (avg * opts.imbalance).ceil() as Wgt;
 
-    let nshards = resolve_shards(n, opts.threads);
-    let mut shards: Vec<RefineShard> = shard_bounds(n, nshards)
+    let mut shards: Vec<RefineShard> = shard_ranges(n, opts.threads)
         .into_iter()
-        .map(|(lo, hi)| RefineShard {
-            lo,
-            hi,
+        .map(|r| RefineShard {
+            lo: r.start,
+            hi: r.end,
             conn: vec![0; k],
             touched: Vec::with_capacity(16),
             proposals: 0,
@@ -160,61 +160,57 @@ pub fn kway_refine_greedy(
         {
             let part_ro: &[u32] = part;
             let pwgts_ro: &[Wgt] = &pwgts;
-            shards
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(1)
-                .for_each(|(_, sh)| {
-                    sh.proposals = 0;
-                    for v in sh.lo..sh.hi {
-                        let home = part_ro[v] as usize;
-                        sh.touched.clear();
-                        let mut is_boundary = false;
-                        for (u, w) in g.adj(v as Vid) {
-                            let pu = part_ro[u as usize] as usize;
-                            if sh.conn[pu] == 0 {
-                                sh.touched.push(pu as u32);
-                            }
-                            sh.conn[pu] += w;
-                            if pu != home {
-                                is_boundary = true;
-                            }
+            shards.par_iter_mut().for_each(|sh| {
+                sh.proposals = 0;
+                for v in sh.lo..sh.hi {
+                    let home = part_ro[v] as usize;
+                    sh.touched.clear();
+                    let mut is_boundary = false;
+                    for (u, w) in g.adj(v as Vid) {
+                        let pu = part_ro[u as usize] as usize;
+                        if sh.conn[pu] == 0 {
+                            sh.touched.push(pu as u32);
                         }
-                        let mut best: Option<(Wgt, Wgt, usize)> = None; // (gain, -pwgt, part)
-                        if is_boundary {
-                            let vw = g.vwgt()[v];
-                            let here = sh.conn[home];
-                            for &t in &sh.touched {
-                                let t = t as usize;
-                                if t == home || pwgts_ro[t] + vw > ub {
-                                    continue;
-                                }
-                                let gain = sh.conn[t] - here;
-                                let key = (gain, -pwgts_ro[t]);
-                                if (gain > 0 || (gain == 0 && pwgts_ro[t] + vw < pwgts_ro[home]))
-                                    && best.is_none_or(|(bg, bw, _)| key > (bg, bw))
-                                {
-                                    best = Some((gain, -pwgts_ro[t], t));
-                                }
-                            }
-                        }
-                        for &t in &sh.touched {
-                            sh.conn[t as usize] = 0;
-                        }
-                        // RELAXED: proposal slots are single-writer — only
-                        // the shard owning `v` stores them this round — and
-                        // readers run in the resolve phase, after the rayon
-                        // fork/join barrier that publishes these stores.
-                        match best {
-                            Some((gain, _, to)) => {
-                                prop_gain[v].store(gain, Ordering::Relaxed);
-                                prop_to[v].store(to as u32, Ordering::Relaxed);
-                                sh.proposals += 1;
-                            }
-                            None => prop_to[v].store(NONE, Ordering::Relaxed),
+                        sh.conn[pu] += w;
+                        if pu != home {
+                            is_boundary = true;
                         }
                     }
-                });
+                    let mut best: Option<(Wgt, Wgt, usize)> = None; // (gain, -pwgt, part)
+                    if is_boundary {
+                        let vw = g.vwgt()[v];
+                        let here = sh.conn[home];
+                        for &t in &sh.touched {
+                            let t = t as usize;
+                            if t == home || pwgts_ro[t] + vw > ub {
+                                continue;
+                            }
+                            let gain = sh.conn[t] - here;
+                            let key = (gain, -pwgts_ro[t]);
+                            if (gain > 0 || (gain == 0 && pwgts_ro[t] + vw < pwgts_ro[home]))
+                                && best.is_none_or(|(bg, bw, _)| key > (bg, bw))
+                            {
+                                best = Some((gain, -pwgts_ro[t], t));
+                            }
+                        }
+                    }
+                    for &t in &sh.touched {
+                        sh.conn[t as usize] = 0;
+                    }
+                    // RELAXED: proposal slots are single-writer — only
+                    // the shard owning `v` stores them this round — and
+                    // readers run in the resolve phase, after the rayon
+                    // fork/join barrier that publishes these stores.
+                    match best {
+                        Some((gain, _, to)) => {
+                            prop_gain[v].store(gain, Ordering::Relaxed);
+                            prop_to[v].store(to as u32, Ordering::Relaxed);
+                            sh.proposals += 1;
+                        }
+                        None => prop_to[v].store(NONE, Ordering::Relaxed),
+                    }
+                }
+            });
         }
         let proposals: usize = shards.iter().map(|sh| sh.proposals).sum();
         if proposals == 0 {
@@ -223,40 +219,36 @@ pub fn kway_refine_greedy(
         // Resolve: a proposer wins iff it beats every proposing neighbor
         // under the strict `(gain, rank)` key, so winners are independent
         // and their snapshot gains are exact.
-        shards
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(1)
-            .for_each(|(_, sh)| {
-                // RELAXED: the proposal slots are frozen during resolve —
-                // written in the propose phase, published by its fork/join
-                // barrier, and only read here — so plain loads suffice.
-                sh.winners.clear();
-                for v in sh.lo..sh.hi {
-                    if prop_to[v].load(Ordering::Relaxed) == NONE {
+        shards.par_iter_mut().for_each(|sh| {
+            // RELAXED: the proposal slots are frozen during resolve —
+            // written in the propose phase, published by its fork/join
+            // barrier, and only read here — so plain loads suffice.
+            sh.winners.clear();
+            for v in sh.lo..sh.hi {
+                if prop_to[v].load(Ordering::Relaxed) == NONE {
+                    continue;
+                }
+                let gv = prop_gain[v].load(Ordering::Relaxed);
+                let kv = (gv, rank[v]);
+                let mut wins = true;
+                for &u in g.neighbors(v as Vid) {
+                    if prop_to[u as usize].load(Ordering::Relaxed) == NONE {
                         continue;
                     }
-                    let gv = prop_gain[v].load(Ordering::Relaxed);
-                    let kv = (gv, rank[v]);
-                    let mut wins = true;
-                    for &u in g.neighbors(v as Vid) {
-                        if prop_to[u as usize].load(Ordering::Relaxed) == NONE {
-                            continue;
-                        }
-                        if (
-                            prop_gain[u as usize].load(Ordering::Relaxed),
-                            rank[u as usize],
-                        ) > kv
-                        {
-                            wins = false;
-                            break;
-                        }
-                    }
-                    if wins {
-                        sh.winners.push((v as Vid, gv));
+                    if (
+                        prop_gain[u as usize].load(Ordering::Relaxed),
+                        rank[u as usize],
+                    ) > kv
+                    {
+                        wins = false;
+                        break;
                     }
                 }
-            });
+                if wins {
+                    sh.winners.push((v as Vid, gv));
+                }
+            }
+        });
         // Commit: bucket winners by destination in vertex order, then each
         // part accepts best-first while CAS-reserving from its own budget
         // slot (single owner per slot → deterministic greedy acceptance).
@@ -273,40 +265,31 @@ pub fn kway_refine_greedy(
         let budget: Vec<AtomicI64> = pwgts.iter().map(|&w| AtomicI64::new(ub - w)).collect();
         {
             let rank_ro: &[u32] = &rank;
-            buckets
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(1)
-                .for_each(|(p, bucket)| {
-                    bucket.sort_unstable_by(|&(va, ga), &(vb, gb)| {
-                        (gb, rank_ro[vb as usize]).cmp(&(ga, rank_ro[va as usize]))
-                    });
-                    // RELAXED: `budget[p]` is a single-owner slot — the
-                    // rayon task for bucket `p` is the only thread that
-                    // ever touches it, so the CAS cannot be contended and
-                    // carries no cross-thread edge; the accepted moves are
-                    // applied serially after the commit barrier.
-                    bucket.retain(|&(v, _)| {
-                        let vw = g.vwgt()[v as usize];
-                        loop {
-                            let cur = budget[p].load(Ordering::Relaxed);
-                            if cur < vw {
-                                return false;
-                            }
-                            if budget[p]
-                                .compare_exchange(
-                                    cur,
-                                    cur - vw,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                            {
-                                return true;
-                            }
-                        }
-                    });
+            buckets.par_iter_mut().enumerate().for_each(|(p, bucket)| {
+                bucket.sort_unstable_by(|&(va, ga), &(vb, gb)| {
+                    (gb, rank_ro[vb as usize]).cmp(&(ga, rank_ro[va as usize]))
                 });
+                // RELAXED: `budget[p]` is a single-owner slot — the
+                // rayon task for bucket `p` is the only thread that
+                // ever touches it, so the CAS cannot be contended and
+                // carries no cross-thread edge; the accepted moves are
+                // applied serially after the commit barrier.
+                bucket.retain(|&(v, _)| {
+                    let vw = g.vwgt()[v as usize];
+                    loop {
+                        let cur = budget[p].load(Ordering::Relaxed);
+                        if cur < vw {
+                            return false;
+                        }
+                        if budget[p]
+                            .compare_exchange(cur, cur - vw, Ordering::Relaxed, Ordering::Relaxed)
+                            .is_ok()
+                        {
+                            return true;
+                        }
+                    }
+                });
+            });
         }
         // Apply the accepted moves (disjoint vertices; serial and cheap).
         let mut moves = 0usize;

@@ -9,11 +9,8 @@
 //! rayon thread cap (`ThreadPool::install`).
 
 use mlgp_graph::{CsrGraph, Vid, Wgt};
+use mlgp_linalg::par::VERTEX_FLOOR;
 use rayon::prelude::*;
-
-/// Below this vertex count the metrics stay sequential — the graphs at the
-/// coarse end of a hierarchy are far too small to amortize a spawn.
-const MIN_PARALLEL_N: usize = 8192;
 
 /// Edge-cut of a 2-way partition given as 0/1 labels.
 pub fn edge_cut_bisection(g: &CsrGraph, part: &[u8]) -> Wgt {
@@ -26,7 +23,7 @@ pub fn edge_cut_bisection(g: &CsrGraph, part: &[u8]) -> Wgt {
     };
     (0..g.n())
         .into_par_iter()
-        .with_min_len(MIN_PARALLEL_N)
+        .with_min_len(VERTEX_FLOOR)
         .map(|v| cut_from(v as Vid))
         .sum()
 }
@@ -42,7 +39,7 @@ pub fn edge_cut_kway(g: &CsrGraph, part: &[u32]) -> Wgt {
     };
     (0..g.n())
         .into_par_iter()
-        .with_min_len(MIN_PARALLEL_N)
+        .with_min_len(VERTEX_FLOOR)
         .map(|v| cut_from(v as Vid))
         .sum()
 }
@@ -52,7 +49,7 @@ pub fn part_weights(g: &CsrGraph, part: &[u32], nparts: usize) -> Vec<Wgt> {
     assert_eq!(part.len(), g.n());
     (0..g.n())
         .into_par_iter()
-        .with_min_len(MIN_PARALLEL_N)
+        .with_min_len(VERTEX_FLOOR)
         .fold(
             || vec![0 as Wgt; nparts],
             |mut acc, v| {
@@ -86,7 +83,7 @@ pub fn imbalance(g: &CsrGraph, part: &[u32], nparts: usize) -> f64 {
 pub fn boundary_count(g: &CsrGraph, part: &[u32]) -> usize {
     (0..g.n())
         .into_par_iter()
-        .with_min_len(MIN_PARALLEL_N)
+        .with_min_len(VERTEX_FLOOR)
         .map(|v| {
             g.neighbors(v as Vid)
                 .iter()

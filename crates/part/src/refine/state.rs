@@ -7,8 +7,8 @@
 //! refinement algorithms operate on this state through `move_vertex`, which
 //! maintains every quantity in `O(deg v)`.
 
-use crate::matching::{resolve_shards, shard_bounds, MIN_PARALLEL_N};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
+use mlgp_linalg::par::{shard_ranges, VERTEX_FLOOR};
 use rayon::prelude::*;
 
 /// Mutable state of a 2-way partition under refinement.
@@ -34,104 +34,60 @@ impl<'g> BisectState<'g> {
         Self::with_threads(g, part, 0)
     }
 
-    /// [`BisectState::new`] with an explicit worker-thread request (`0` =
-    /// ambient). The construction shards the vertex range; every per-vertex
-    /// quantity is computed independently and the shard partials (part
-    /// weights, cut) are combined in shard order, so the state is
-    /// bit-identical for every thread count.
+    /// [`BisectState::new`] with an explicit shard count (`0` = one per
+    /// worker above the vertex floor). Each shard fills its own slice of
+    /// `ed`/`id`; every per-vertex quantity is computed independently and
+    /// the shard partials (part weights, cut) are combined in shard order,
+    /// so the state is bit-identical for every shard count.
     pub fn with_threads(g: &'g CsrGraph, part: Vec<u8>, threads: usize) -> Self {
         assert_eq!(part.len(), g.n());
-        let n = g.n();
-        let nshards = resolve_shards(n, threads);
-        if nshards <= 1 {
-            return Self::build_serial(g, part);
-        }
-        struct Shard {
+        /// One shard's vertices and its disjoint slices of `ed`/`id`.
+        struct Shard<'a> {
             lo: usize,
-            hi: usize,
-            ed: Vec<Wgt>,
-            id: Vec<Wgt>,
+            ed: &'a mut [Wgt],
+            id: &'a mut [Wgt],
             pwgts: [Wgt; 2],
             cut: Wgt,
         }
-        let part_ro: &[u8] = &part;
-        let mut shards: Vec<Shard> = shard_bounds(n, nshards)
-            .into_iter()
-            .map(|(lo, hi)| Shard {
-                lo,
-                hi,
-                ed: Vec::with_capacity(hi - lo),
-                id: Vec::with_capacity(hi - lo),
+        let (mut ed, mut id) = (vec![0; g.n()], vec![0; g.n()]);
+        let (mut ed_rest, mut id_rest) = (&mut ed[..], &mut id[..]);
+        let mut shards = Vec::new();
+        for r in shard_ranges(g.n(), threads) {
+            let (ed_sh, ed_tail) = ed_rest.split_at_mut(r.len());
+            let (id_sh, id_tail) = id_rest.split_at_mut(r.len());
+            (ed_rest, id_rest) = (ed_tail, id_tail);
+            shards.push(Shard {
+                lo: r.start,
+                ed: ed_sh,
+                id: id_sh,
                 pwgts: [0, 0],
                 cut: 0,
-            })
-            .collect();
-        shards
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(1)
-            .for_each(|(_, sh)| {
-                for v in sh.lo..sh.hi {
-                    let pv = part_ro[v];
-                    debug_assert!(pv <= 1);
-                    sh.pwgts[pv as usize] += g.vwgt()[v];
-                    let (mut ed_v, mut id_v) = (0, 0);
-                    for (u, w) in g.adj(v as Vid) {
-                        if part_ro[u as usize] == pv {
-                            id_v += w;
-                        } else {
-                            ed_v += w;
-                            if u as usize > v {
-                                sh.cut += w;
-                            }
-                        }
-                    }
-                    sh.ed.push(ed_v);
-                    sh.id.push(id_v);
-                }
             });
-        let mut ed = Vec::with_capacity(n);
-        let mut id = Vec::with_capacity(n);
-        let mut pwgts = [0, 0];
-        let mut cut = 0;
-        for sh in &mut shards {
-            ed.append(&mut sh.ed);
-            id.append(&mut sh.id);
-            pwgts[0] += sh.pwgts[0];
-            pwgts[1] += sh.pwgts[1];
-            cut += sh.cut;
         }
-        Self {
-            g,
-            part,
-            pwgts,
-            ed,
-            id,
-            cut,
-        }
-    }
-
-    /// Serial construction (the single-shard fast path).
-    fn build_serial(g: &'g CsrGraph, part: Vec<u8>) -> Self {
-        let n = g.n();
-        let mut pwgts = [0, 0];
-        let mut ed = vec![0; n];
-        let mut id = vec![0; n];
-        let mut cut = 0;
-        for v in 0..n {
-            let pv = part[v];
-            debug_assert!(pv <= 1);
-            pwgts[pv as usize] += g.vwgt()[v];
-            for (u, w) in g.adj(v as Vid) {
-                if part[u as usize] == pv {
-                    id[v] += w;
-                } else {
-                    ed[v] += w;
-                    if u as usize > v {
-                        cut += w;
+        let part_ro: &[u8] = &part;
+        shards.par_iter_mut().for_each(|sh| {
+            for (i, (ed_v, id_v)) in sh.ed.iter_mut().zip(sh.id.iter_mut()).enumerate() {
+                let v = sh.lo + i;
+                let pv = part_ro[v];
+                debug_assert!(pv <= 1);
+                sh.pwgts[pv as usize] += g.vwgt()[v];
+                for (u, w) in g.adj(v as Vid) {
+                    if part_ro[u as usize] == pv {
+                        *id_v += w;
+                    } else {
+                        *ed_v += w;
+                        if u as usize > v {
+                            sh.cut += w;
+                        }
                     }
                 }
             }
+        });
+        let (mut pwgts, mut cut) = ([0, 0], 0);
+        for sh in &shards {
+            pwgts[0] += sh.pwgts[0];
+            pwgts[1] += sh.pwgts[1];
+            cut += sh.cut;
         }
         Self {
             g,
@@ -165,7 +121,7 @@ impl<'g> BisectState<'g> {
     pub fn boundary_count(&self) -> usize {
         (0..self.g.n())
             .into_par_iter()
-            .with_min_len(MIN_PARALLEL_N)
+            .with_min_len(VERTEX_FLOOR)
             .map(|v| self.is_boundary(v as Vid) as usize)
             .sum()
     }
@@ -177,7 +133,7 @@ impl<'g> BisectState<'g> {
     pub fn movable_vertices(&self, boundary_only: bool) -> Vec<Vid> {
         (0..self.g.n())
             .into_par_iter()
-            .with_min_len(MIN_PARALLEL_N)
+            .with_min_len(VERTEX_FLOOR)
             .fold(Vec::new, |mut acc: Vec<Vid>, v| {
                 if !boundary_only || self.is_boundary(v as Vid) {
                     acc.push(v as Vid);

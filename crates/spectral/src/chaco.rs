@@ -20,9 +20,9 @@ pub struct ChacoMlConfig {
     pub imbalance: f64,
     /// Seed for the random matchings.
     pub seed: u64,
-    /// Worker threads for the coarsening kernels and the spectral solve
-    /// (`0` = ambient rayon fan-out). Bit-identical results at every
-    /// value.
+    /// Shard-count override for the coarsening kernels and worker request
+    /// for the spectral solve (`0` = follow the installed pool; see
+    /// `mlgp_linalg::par`). Bit-identical results at every value.
     pub threads: usize,
 }
 

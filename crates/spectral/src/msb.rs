@@ -31,10 +31,11 @@ pub struct MsbConfig {
     pub imbalance: f64,
     /// Seed for the random matchings.
     pub seed: u64,
-    /// Worker threads for the coarsening kernels, SpMV shards, and vector
-    /// reductions (`0` = ambient rayon fan-out). Bit-identical results at
-    /// every value — the float reductions are deterministic
-    /// chunked-pairwise (see `mlgp_linalg::vecops`).
+    /// Shard-count override for the coarsening kernels and worker request
+    /// for the SpMV and vector reductions (`0` = follow the installed
+    /// pool; see `mlgp_linalg::par`). Bit-identical results at every
+    /// value — the float reductions are deterministic chunked-pairwise
+    /// (see `mlgp_linalg::vecops`).
     pub threads: usize,
 }
 
